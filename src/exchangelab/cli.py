@@ -40,6 +40,12 @@ __all__ = ["ScenarioError", "Scenario", "parse_scenario", "run_scenario", "main"
 
 KINDS = ("simulate", "gate", "five-pulse", "perturb", "rates", "sweep")
 
+#: Largest ``count`` of a start/stop/count grid.
+MAX_GRID_COUNT = 10_000
+
+#: Largest ``--parallel`` value of a sweep.
+MAX_PARALLEL = 64
+
 _TOP_KEYS = {
     "simulate": ("kind", "model", "schedule", "parameters", "output"),
     "gate": ("kind", "model", "schedule", "parameters", "output"),
@@ -106,7 +112,7 @@ def _number(value, context: str, *, minimum=None, strict_min=None,
     return value
 
 
-def _integer(value, context: str, *, minimum=None) -> int:
+def _integer(value, context: str, *, minimum=None, maximum=None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         if isinstance(value, float) and float(value).is_integer():
             value = int(value)
@@ -114,6 +120,8 @@ def _integer(value, context: str, *, minimum=None) -> int:
             _fail(f"{context} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         _fail(f"{context} must be >= {minimum}, got {value!r}")
+    if maximum is not None and value > maximum:
+        _fail(f"{context} must be <= {maximum}, got {value!r}")
     return int(value)
 
 
@@ -134,7 +142,8 @@ def _value_list(spec, context: str, *, minimum=None) -> List[float]:
             _fail(f"{context} grid requires key {key!r}")
     start = _number(grid["start"], f"{context}.start", minimum=minimum)
     stop = _number(grid["stop"], f"{context}.stop", minimum=minimum)
-    count = _integer(grid["count"], f"{context}.count", minimum=1)
+    count = _integer(grid["count"], f"{context}.count", minimum=1,
+                     maximum=MAX_GRID_COUNT)
     return [float(x) for x in np.linspace(start, stop, count)]
 
 
@@ -718,8 +727,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                          help="output directory (default: current)")
         if command == "sweep":
             cmd.add_argument("--parallel", type=int, default=1,
-                             help="concurrent sweep points (default 1)")
+                             help="concurrent sweep points, 1 to "
+                                  f"{MAX_PARALLEL} (default 1)")
     args = parser.parse_args(argv)
+    parallel = getattr(args, "parallel", 1)
+    if not 1 <= parallel <= MAX_PARALLEL:
+        print(f"error: --parallel must lie in 1..{MAX_PARALLEL}, got {parallel}",
+              file=sys.stderr)
+        return 1
 
     try:
         text = Path(args.scenario).read_text()
@@ -736,8 +751,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        return run_scenario(scenario, args.out,
-                            parallelism=getattr(args, "parallel", 1))
+        return run_scenario(scenario, args.out, parallelism=parallel)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -122,7 +122,9 @@ class HilbertBasis:
     Instances are built by :func:`enumerate_basis`; states are occupation
     tuples ordered ascending lexicographically, and every occupation
     vector compatible with the sector and the per-mode caps is present
-    exactly once.
+    exactly once.  A truncated sector may also be built directly from
+    the states to keep; :func:`exchange_coupling` then drops the moves
+    that leave it.
     """
 
     def __init__(self, modes: Sequence[ModeSpec], sector: int,

@@ -19,13 +19,28 @@ The cross coefficient is extracted from the two-atom-and-up pair part
 of the fourth order, E4(N) - N*E4(1), because a single atom already
 contributes an n1*n2 saturation shift that is linear in N and has
 nothing to do with the interatomic exchange terms under study.
+
+The problem is built in the permutation-symmetric (Dicke) sector on the
+:mod:`exchangelab.hilbert` basis.  The reference |n1, n2, all ground>, V
+and every width rule are invariant under atom permutations, so the
+fourth order is exact on the symmetric states (m1, m2, k), k being the
+number of excited atoms, coupled by the sqrt(N) M and sqrt((N - k)(k + 1))
+Dicke ladder.  At most eight of them lie within two V steps of the
+reference whatever N and the photon numbers are, and only those are
+built, so a fit costs the same for two atoms as for a million.  The path diagnostics (``basis_size``, ``path_terms``,
+``renormalization_terms``, ``max_path_term``) and
+:attr:`CrossFit.path_scale` still describe the atom-labelled levels, one
+per set of excited atoms: a symmetric state with k excited atoms stands
+for C(N, k) of them, and a single labelled path term is the symmetric
+one with each element divided by its collective factor.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import combinations, product
+from functools import lru_cache
+from itertools import product
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -142,6 +157,16 @@ class PerturbationProblem:
     ``coupling`` is the real V matrix with zero diagonal; ``classes``
     label states for path diagnostics; ``energy_scale`` sets the
     degeneracy threshold.
+
+    A state may be the uniform superposition of several equivalent
+    levels, its members (the symmetric sector of permutable atoms).
+    ``multiplicity`` gives the number of members of each state and
+    ``degree[i, j]`` the number of members of state j that V couples to
+    one member of state i; the element between single members is then
+    ``coupling[i, j] / sqrt(degree[i, j] * degree[j, i])``.  The path
+    diagnostics count and weigh member paths.  By default every state is
+    a single level.  Both must agree on the links between members:
+    ``multiplicity[i] * degree[i, j] == multiplicity[j] * degree[j, i]``.
     """
 
     states: Tuple
@@ -150,6 +175,8 @@ class PerturbationProblem:
     energy_scale: float
     reference: int = 0
     classes: Tuple[str, ...] = ()
+    multiplicity: Tuple[int, ...] = ()
+    degree: Optional[np.ndarray] = None
 
     def __post_init__(self):
         energies = np.asarray(self.energies, dtype=complex)
@@ -170,93 +197,95 @@ class PerturbationProblem:
         classes = self.classes if self.classes else ("intermediate",) * dim
         if len(classes) != dim:
             raise ValueError("classes length disagrees with states")
+        multiplicity = self.multiplicity if self.multiplicity else (1,) * dim
+        if len(multiplicity) != dim or min(multiplicity) < 1:
+            raise ValueError("multiplicity needs one positive count per state")
+        if self.degree is None:
+            degree = (coupling != 0.0).astype(int)
+        else:
+            degree = np.asarray(self.degree, dtype=int)
+        if degree.shape != (dim, dim) or (degree < 0).any():
+            raise ValueError("degree must be a non-negative (dim, dim) matrix")
+        if (degree[coupling != 0.0] == 0).any():
+            raise ValueError("degree must be positive wherever coupling is non-zero")
+        links = np.array(multiplicity, dtype=object)[:, None] * degree.astype(object)
+        if (links != links.T).any():
+            raise ValueError("multiplicity and degree must count the same member "
+                             "links from either end")
         object.__setattr__(self, "energies", energies)
         object.__setattr__(self, "coupling", coupling)
         object.__setattr__(self, "classes", tuple(classes))
+        object.__setattr__(self, "multiplicity", tuple(int(m) for m in multiplicity))
+        object.__setattr__(self, "degree", degree)
 
     @property
     def dim(self) -> int:
         return len(self.states)
 
 
-def _atom_states(n_1: int, n_2: int, atoms: int):
-    """All levels reachable from |n1, n2, ground> in at most two V steps.
+@lru_cache(maxsize=1024)
+def _near_sector(n_1: int, n_2: int, atoms: int):
+    """The symmetric (Dicke) states near |n1, n2, all ground>, with their V.
 
-    A state is (photons in mode 1, photons in mode 2, excited atom set);
-    which atoms are excited matters for path counting even though the
-    matrix elements are atom-independent.
+    States are occupations (m1, m2, k) of the two photon modes and the
+    collective mode of ``atoms`` atoms, k being the number of excited
+    atoms, with n1 + n2 quanta in all; the unit-rate ladder carries the
+    sqrt(N) and sqrt((N - k)(k + 1)) Dicke factors times the photons'
+    sqrt(n).  Only the (at most eight) states within two V steps of the
+    reference are built: farther ones cannot enter the fourth order, and
+    their gaps may vanish without harm (2 delta_1 = delta_2, say).
+
+    Returns (basis, classes, ladder), reference first.  Memoised because
+    fits and sweeps rebuild the same few (n1, n2, N); the ladder is only
+    ever read, never handed out.
     """
-    states = [(n_1, n_2, frozenset())]
-    classes = ["reference"]
-    for j in range(atoms):
-        if n_1 >= 1:
-            states.append((n_1 - 1, n_2, frozenset({j})))
-            classes.append("one-excitation")
-        if n_2 >= 1:
-            states.append((n_1, n_2 - 1, frozenset({j})))
-            classes.append("one-excitation")
-    if n_1 >= 1:
-        states.append((n_1 - 1, n_2 + 1, frozenset()))
-        classes.append("exchanged-photon")
-    if n_2 >= 1:
-        states.append((n_1 + 1, n_2 - 1, frozenset()))
-        classes.append("exchanged-photon")
-    for j, l in combinations(range(atoms), 2):
-        pair = frozenset({j, l})
-        if n_1 >= 2:
-            states.append((n_1 - 2, n_2, pair))
-            classes.append("two-excitation")
-        if n_1 >= 1 and n_2 >= 1:
-            states.append((n_1 - 1, n_2 - 1, pair))
-            classes.append("two-excitation")
-        if n_2 >= 2:
-            states.append((n_1, n_2 - 2, pair))
-            classes.append("two-excitation")
-    return states, classes
+    from .hilbert import HilbertBasis, collective_mode, exchange_coupling, photon_mode
 
-
-def _coupling_element(state_a, state_b, coupling: float) -> float:
-    """V element between two levels (0 unless one excitation apart)."""
-    n1a, n2a, exc_a = state_a
-    n1b, n2b, exc_b = state_b
-    if len(exc_b) == len(exc_a) + 1 and exc_a < exc_b:
-        lower, upper = (n1a, n2a), (n1b, n2b)
-    elif len(exc_a) == len(exc_b) + 1 and exc_b < exc_a:
-        lower, upper = (n1b, n2b), (n1a, n2a)
-    else:
-        return 0.0
-    if upper == (lower[0] - 1, lower[1]):
-        return coupling * math.sqrt(lower[0])
-    if upper == (lower[0], lower[1] - 1):
-        return coupling * math.sqrt(lower[1])
-    return 0.0
+    near = [(state, cls) for state, cls in (
+        ((n_1, n_2, 0), "reference"),
+        ((n_1 - 1, n_2, 1), "one-excitation"),
+        ((n_1, n_2 - 1, 1), "one-excitation"),
+        ((n_1 - 1, n_2 + 1, 0), "exchanged-photon"),
+        ((n_1 + 1, n_2 - 1, 0), "exchanged-photon"),
+        ((n_1 - 2, n_2, 2), "two-excitation"),
+        ((n_1 - 1, n_2 - 1, 2), "two-excitation"),
+        ((n_1, n_2 - 2, 2), "two-excitation"),
+    ) if min(state) >= 0 and state[2] <= atoms]
+    basis = HilbertBasis([photon_mode("photon_1"), photon_mode("photon_2"),
+                          collective_mode("collective", atoms)], n_1 + n_2,
+                         [state for state, _ in near])
+    ladder = (exchange_coupling(basis, "collective", "photon_1", 1.0).matrix
+              + exchange_coupling(basis, "collective", "photon_2", 1.0).matrix).real
+    return basis, tuple(cls for _, cls in near), ladder
 
 
 def _build(params: CollisionModelParams, rule: WidthRule,
            atoms: int) -> PerturbationProblem:
-    states, classes = _atom_states(params.n_1, params.n_2, atoms)
-    dim = len(states)
-    energies = np.zeros(dim, dtype=complex)
-    for i, (m1, m2, excited) in enumerate(states):
-        energies[i] = ((params.n_1 - m1) * params.delta_1
-                       + (params.n_2 - m2) * params.delta_2)
-        if rule.selector == "excited-atom-states":
-            energies[i] += -1j * rule.width * len(excited)
-        elif rule.selector == "exchanged-photon-ground-states":
-            if not excited and (m1, m2) != (params.n_1, params.n_2):
-                energies[i] += -1j * rule.width
-    matrix = np.zeros((dim, dim))
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            element = _coupling_element(states[i], states[j], params.coupling)
-            matrix[i, j] = matrix[j, i] = element
+    """The problem on the symmetric sector of ``atoms`` atoms.
+
+    A state with k excited atoms stands for C(N, k) atom-labelled levels;
+    one of them couples to the k members one excitation down and to the
+    N - k members one excitation up.
+    """
+    n_1, n_2 = params.n_1, params.n_2
+    basis, classes, ladder = _near_sector(n_1, n_2, atoms)
+    m1, m2, k = basis.occupations().T
+    lower = k[None, :] < k[:, None]
+    degree = np.where(lower, k[:, None], atoms - k[:, None]) * (ladder != 0.0)
+    energies = ((n_1 - m1) * params.delta_1 + (n_2 - m2) * params.delta_2).astype(complex)
+    if rule.selector == "excited-atom-states":
+        energies -= 1j * rule.width * k
+    elif rule.selector == "exchanged-photon-ground-states":
+        energies[(k == 0) & ((m1 != n_1) | (m2 != n_2))] -= 1j * rule.width
     return PerturbationProblem(
-        states=tuple(states),
+        states=basis.states,
         energies=energies,
-        coupling=matrix,
+        coupling=params.coupling * ladder,
         energy_scale=abs(params.reference_detuning),
         reference=0,
-        classes=tuple(classes),
+        classes=classes,
+        multiplicity=tuple(math.comb(atoms, int(j)) for j in k),
+        degree=degree,
     )
 
 
@@ -312,33 +341,49 @@ def rspt_energy(problem: PerturbationProblem, order: int = 4) -> PerturbationRes
         wx = w_block @ x
         orders[4] = complex((wx / gaps) @ wx - orders[2] * (u @ (u / gaps ** 2)))
 
-    diagnostics = _path_diagnostics(problem, u, w_block, gaps, mask)
+    diagnostics = _path_diagnostics(problem, gaps, mask)
     return PerturbationResult(orders={k: v for k, v in orders.items() if k <= order},
                               diagnostics=diagnostics)
 
 
-def _path_diagnostics(problem, u, w_block, gaps, mask) -> Dict[str, object]:
-    """Count fourth-order paths by middle-state class; record the largest term."""
-    classes = [problem.classes[i] for i in np.flatnonzero(mask)]
+def _path_diagnostics(problem, gaps, mask) -> Dict[str, object]:
+    """Count fourth-order member paths by middle-state class; record the largest.
+
+    Counts and terms are those of single members (atom-labelled levels),
+    not of the aggregated symmetric states, so they do not depend on how
+    the problem was reduced.  E2 in the renormalization term is the full
+    second order.
+    """
+    ref = problem.reference
+    degree = problem.degree
+    factor = np.sqrt(degree * degree.T)
+    member = np.divide(problem.coupling, factor, out=np.zeros_like(problem.coupling),
+                       where=factor > 0)
+    u = member[ref, mask]
+    w_block = member[mask][:, mask]
     nz_u = u != 0.0
-    counts: Dict[str, int] = {}
+    # members of the one-step states a member of each middle state couples to
+    fan = ((w_block != 0.0) & nz_u[None, :]) * degree[mask][:, mask]
+    fan = fan.sum(axis=1)
     x = np.abs(u / gaps)
     inv = 1.0 / np.abs(gaps)
     alpha = (x[:, None] * np.abs(w_block)) * inv[None, :]   # |(u_a/d_a) W_ab / d_b|
     beta = np.abs(w_block) * x[None, :]                     # |W_bc (u_c/d_c)|
-    max_path = 0.0
-    for b in range(len(gaps)):
-        n_in = int(np.count_nonzero(nz_u & (w_block[:, b] != 0.0)))
-        n_out = int(np.count_nonzero(nz_u & (w_block[b, :] != 0.0)))
-        if n_in and n_out:
-            counts[classes[b]] = counts.get(classes[b], 0) + n_in * n_out
-            max_path = max(max_path, float(alpha[:, b].max() * beta[b, :].max()))
-    e2_mag = float(np.abs(u @ (u / gaps)))
-    renorm_max = e2_mag * float(np.max(x * inv * np.abs(u))) if len(u) else 0.0
+    paths = alpha.max(axis=0, initial=0.0) * beta.max(axis=1, initial=0.0)
+    max_path = float(paths[fan > 0].max(initial=0.0))
+    counts: Dict[str, int] = {}
+    multiplicity = [m for m, keep in zip(problem.multiplicity, mask) if keep]
+    classes = [problem.classes[i] for i in np.flatnonzero(mask)]
+    for b in np.flatnonzero(fan):
+        n = int(fan[b])
+        counts[classes[b]] = counts.get(classes[b], 0) + multiplicity[b] * n * n
+    u_full = problem.coupling[ref, mask]
+    e2_mag = float(np.abs(u_full @ (u_full / gaps)))
+    renorm_max = e2_mag * float(np.max(x * inv * np.abs(u), initial=0.0))
     return {
-        "basis_size": problem.dim,
+        "basis_size": sum(problem.multiplicity),
         "path_terms": counts,
-        "renormalization_terms": int(np.count_nonzero(nz_u)),
+        "renormalization_terms": sum(m for m, nz in zip(multiplicity, nz_u) if nz),
         "max_path_term": max(max_path, renorm_max),
     }
 
@@ -357,7 +402,8 @@ class CrossFit:
     E4(N) - N * E4(1); ``total_value`` of the raw E4(N); and
     ``single_atom_value`` of E4(1).  ``path_scale`` is the largest
     individual fourth-order path term on the grid, the natural yardstick
-    for calling the coefficient zero.
+    for calling the coefficient zero; it is the term of single
+    atom-labelled levels, not of the aggregated symmetric states.
     """
 
     value: complex

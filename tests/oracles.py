@@ -8,12 +8,15 @@ under test is checked against arithmetic that shares none of its code paths.
 from __future__ import annotations
 
 import math
+from itertools import combinations
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from exchangelab.dynamics import PulseSegment
 from exchangelab.gates import ExchangeModel
+from exchangelab.perturbation import (CollisionModelParams, PerturbationProblem,
+                                      WidthRule)
 
 
 def series_propagator(matrix: np.ndarray, t: float) -> np.ndarray:
@@ -120,3 +123,90 @@ def random_product_schedule(rng: np.random.Generator, model: ExchangeModel) -> L
         else:
             schedule.extend(_sandwich_block(model, rng))
     return schedule
+
+
+def _atom_states(n_1: int, n_2: int, atoms: int):
+    """All levels reachable from |n1, n2, ground> in at most two V steps.
+
+    A state is (photons in mode 1, photons in mode 2, excited atom set);
+    which atoms are excited matters for path counting even though the
+    matrix elements are atom-independent.
+    """
+    states = [(n_1, n_2, frozenset())]
+    classes = ["reference"]
+    for j in range(atoms):
+        if n_1 >= 1:
+            states.append((n_1 - 1, n_2, frozenset({j})))
+            classes.append("one-excitation")
+        if n_2 >= 1:
+            states.append((n_1, n_2 - 1, frozenset({j})))
+            classes.append("one-excitation")
+    if n_1 >= 1:
+        states.append((n_1 - 1, n_2 + 1, frozenset()))
+        classes.append("exchanged-photon")
+    if n_2 >= 1:
+        states.append((n_1 + 1, n_2 - 1, frozenset()))
+        classes.append("exchanged-photon")
+    for j, l in combinations(range(atoms), 2):
+        pair = frozenset({j, l})
+        if n_1 >= 2:
+            states.append((n_1 - 2, n_2, pair))
+            classes.append("two-excitation")
+        if n_1 >= 1 and n_2 >= 1:
+            states.append((n_1 - 1, n_2 - 1, pair))
+            classes.append("two-excitation")
+        if n_2 >= 2:
+            states.append((n_1, n_2 - 2, pair))
+            classes.append("two-excitation")
+    return states, classes
+
+
+def _coupling_element(state_a, state_b, coupling: float) -> float:
+    """V element between two levels (0 unless one excitation apart)."""
+    n1a, n2a, exc_a = state_a
+    n1b, n2b, exc_b = state_b
+    if len(exc_b) == len(exc_a) + 1 and exc_a < exc_b:
+        lower, upper = (n1a, n2a), (n1b, n2b)
+    elif len(exc_a) == len(exc_b) + 1 and exc_b < exc_a:
+        lower, upper = (n1b, n2b), (n1a, n2a)
+    else:
+        return 0.0
+    if upper == (lower[0] - 1, lower[1]):
+        return coupling * math.sqrt(lower[0])
+    if upper == (lower[0], lower[1] - 1):
+        return coupling * math.sqrt(lower[1])
+    return 0.0
+
+
+def labelled_perturbation_problem(params: CollisionModelParams, rule: WidthRule,
+                                  atoms: int) -> PerturbationProblem:
+    """The fourth-order problem on atom-labelled levels, one per excited-atom set.
+
+    Its dimension grows as ~3 N^2 / 2 and it is filled pair by pair, so it
+    is only practical for small N; it shares no construction with the
+    package's symmetric-sector builder.
+    """
+    states, classes = _atom_states(params.n_1, params.n_2, atoms)
+    dim = len(states)
+    energies = np.zeros(dim, dtype=complex)
+    for i, (m1, m2, excited) in enumerate(states):
+        energies[i] = ((params.n_1 - m1) * params.delta_1
+                       + (params.n_2 - m2) * params.delta_2)
+        if rule.selector == "excited-atom-states":
+            energies[i] += -1j * rule.width * len(excited)
+        elif rule.selector == "exchanged-photon-ground-states":
+            if not excited and (m1, m2) != (params.n_1, params.n_2):
+                energies[i] += -1j * rule.width
+    matrix = np.zeros((dim, dim))
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            element = _coupling_element(states[i], states[j], params.coupling)
+            matrix[i, j] = matrix[j, i] = element
+    return PerturbationProblem(
+        states=tuple(states),
+        energies=energies,
+        coupling=matrix,
+        energy_scale=abs(params.reference_detuning),
+        reference=0,
+        classes=tuple(classes),
+    )

@@ -8,7 +8,10 @@ from textwrap import dedent
 import pytest
 import yaml
 
-from exchangelab.cli import ScenarioError, main, parse_scenario
+import numpy as np
+
+from exchangelab import cli
+from exchangelab.cli import MAX_GRID_COUNT, MAX_PARALLEL, ScenarioError, main, parse_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -335,6 +338,51 @@ def test_payloads_are_byte_identical_across_runs(tmp_path):
         for file_name in payloads[0]:
             assert ((first / file_name).read_bytes()
                     == (second / file_name).read_bytes())
+
+
+def _transmission_grid(count):
+    return dedent(f"""
+        kind: simulate
+        parameters:
+          experiment: transmission
+          rate: 1.0
+          durations: {{start: 0.0, stop: 1.0, count: {count}}}
+    """)
+
+
+def test_grid_count_is_capped_before_allocation(tmp_path, monkeypatch, capsys):
+    assert len(parse_scenario(_transmission_grid(MAX_GRID_COUNT))
+               .parameters["durations"]) == MAX_GRID_COUNT
+    assert MAX_GRID_COUNT >= 10 * 512   # the largest grid the scenarios use
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an oversized grid reached np.linspace")
+
+    monkeypatch.setattr(np, "linspace", refuse)
+    for count in (MAX_GRID_COUNT + 1, 10 ** 9):
+        with pytest.raises(ScenarioError, match=f"count must be <= {MAX_GRID_COUNT}"):
+            parse_scenario(_transmission_grid(count))
+    path = tmp_path / "huge.yaml"
+    path.write_text(_transmission_grid(10 ** 9))
+    assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path)]) == 1
+    assert "durations.count" in capsys.readouterr().err
+
+
+def test_parallel_is_capped_before_threads_start(tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", refuse)
+    scenario = str(SCENARIOS / "sweep_perturb_width.yaml")
+    for value in (MAX_PARALLEL + 1, 10 ** 9, 0):
+        code = main(["sweep", "--scenario", scenario, "--out", str(tmp_path),
+                     "--parallel", str(value)])
+        assert code == 1
+        assert f"--parallel must lie in 1..{MAX_PARALLEL}" in capsys.readouterr().err
+    assert not (tmp_path / "perturb_width.csv").exists()
+    monkeypatch.undo()
+    assert main(["sweep", "--scenario", scenario, "--out", str(tmp_path),
+                 "--parallel", str(MAX_PARALLEL)]) == 0
 
 
 def test_missing_scenario_file_exits_1(tmp_path, capsys):

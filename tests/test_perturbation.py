@@ -6,6 +6,7 @@ the exactly solvable two-level problem, the single-mode saturation shift
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,8 +23,13 @@ from exchangelab.perturbation import (
     rspt_energy,
 )
 
+from oracles import fit_bilinear, labelled_perturbation_problem
+
 
 NONE_RULE = WidthRule("none")
+FIT_GRID = [(n1, n2) for n1 in (1, 2, 3) for n2 in (1, 2, 3)]
+ALL_RULES = (NONE_RULE, WidthRule("excited-atom-states", 0.095),
+             WidthRule("exchanged-photon-ground-states", 0.01))
 
 
 def _two_level(v, delta):
@@ -99,6 +105,23 @@ def test_problem_validation():
                             reference=5)
 
 
+def test_member_counts_must_agree():
+    # one member of "a" linked to two of "b" needs twice as many b links
+    # from "a"'s side as there are a members: 1 * 2 == 2 * 1
+    coupling = np.array([[0.0, 0.1], [0.1, 0.0]])
+    PerturbationProblem(states=("a", "b"), energies=np.array([0.0, 1.0]),
+                        coupling=coupling, energy_scale=1.0, multiplicity=(1, 2),
+                        degree=np.array([[0, 2], [1, 0]]))
+    with pytest.raises(ValueError, match="links"):
+        PerturbationProblem(states=("a", "b"), energies=np.array([0.0, 1.0]),
+                            coupling=coupling, energy_scale=1.0, multiplicity=(1, 2),
+                            degree=np.array([[0, 1], [1, 0]]))
+    with pytest.raises(ValueError, match="positive"):
+        PerturbationProblem(states=("a", "b"), energies=np.array([0.0, 1.0]),
+                            coupling=coupling, energy_scale=1.0,
+                            degree=np.zeros((2, 2), dtype=int))
+
+
 def test_degenerate_intermediate_raises():
     # opposite detunings make the doubly excited level resonant with the
     # reference after one photon is taken from each mode
@@ -116,7 +139,7 @@ def test_degenerate_intermediate_raises():
 
 def test_two_atom_basis_contents():
     params = CollisionModelParams(coupling=0.1, atoms=2, delta_1=1.0, delta_2=0.9)
-    problem = build_problem(params, NONE_RULE)
+    problem = labelled_perturbation_problem(params, NONE_RULE, params.atoms)
     assert problem.dim == 8
     by_class = {}
     for cls in problem.classes:
@@ -131,22 +154,58 @@ def test_two_atom_basis_contents():
     assert (2, 0, frozenset()) in problem.states
     assert (0, 0, frozenset({0, 1})) in problem.states
 
+    # the symmetric sector: one state per class and photon content, each
+    # standing for C(2, k) labelled levels
+    symmetric = build_problem(params, NONE_RULE)
+    assert symmetric.states == ((1, 1, 0), (0, 1, 1), (1, 0, 1), (0, 2, 0),
+                                (2, 0, 0), (0, 0, 2))
+    assert symmetric.classes == ("reference", "one-excitation", "one-excitation",
+                                 "exchanged-photon", "exchanged-photon",
+                                 "two-excitation")
+    assert symmetric.multiplicity == (1, 2, 2, 1, 1, 1)
+    members = {}
+    for cls, count in zip(symmetric.classes, symmetric.multiplicity):
+        members[cls] = members.get(cls, 0) + count
+    assert members == by_class
+    # Dicke ladder: sqrt(N) M out of the ground state, sqrt((N - 1) 2) M
+    # into the doubly excited one, times the photon's own sqrt(n)
+    m = params.coupling * math.sqrt(2.0)
+    assert symmetric.coupling[0, 1] == pytest.approx(m, rel=1e-15)
+    assert symmetric.coupling[1, 5] == pytest.approx(m, rel=1e-15)
+    assert symmetric.coupling[1, 3] == pytest.approx(m * math.sqrt(2.0), rel=1e-15)
+    assert symmetric.coupling[0, 3] == 0.0
+
 
 def test_width_rules_place_imaginary_parts():
     params = CollisionModelParams(coupling=0.1, atoms=2, delta_1=1.0, delta_2=0.9,
                                   width=0.05)
-    excited = build_problem(params, WidthRule("excited-atom-states", 0.05))
+    excited_rule = WidthRule("excited-atom-states", 0.05)
+    exchanged_rule = WidthRule("exchanged-photon-ground-states", 0.05)
+
+    excited = labelled_perturbation_problem(params, excited_rule, params.atoms)
     for state, energy in zip(excited.states, excited.energies):
         assert energy.imag == pytest.approx(-0.05 * len(state[2]))
 
-    exchanged = build_problem(params, WidthRule("exchanged-photon-ground-states", 0.05))
+    exchanged = labelled_perturbation_problem(params, exchanged_rule, params.atoms)
     for state, cls, energy in zip(exchanged.states, exchanged.classes,
                                   exchanged.energies):
         expected = -0.05 if cls == "exchanged-photon" else 0.0
         assert energy.imag == pytest.approx(expected)
 
-    plain = build_problem(params, NONE_RULE)
+    plain = labelled_perturbation_problem(params, NONE_RULE, params.atoms)
     assert np.all(plain.energies.imag == 0.0)
+
+    # the symmetric states carry k excited atoms as their last entry
+    excited = build_problem(params, excited_rule)
+    for state, energy in zip(excited.states, excited.energies):
+        assert energy.imag == -0.05 * state[2]
+
+    exchanged = build_problem(params, exchanged_rule)
+    assert "exchanged-photon" in exchanged.classes
+    for cls, energy in zip(exchanged.classes, exchanged.energies):
+        assert energy.imag == (-0.05 if cls == "exchanged-photon" else 0.0)
+
+    assert np.all(build_problem(params, NONE_RULE).energies.imag == 0.0)
 
 
 def test_second_order_closed_form():
@@ -271,6 +330,108 @@ def test_numeric_residue_approaches_closed_form():
             deviations.append(worst)
         assert deviations[1] < deviations[0]
         assert deviations[1] < 1e-3 * target
+
+
+# with delta_2 = 0.9 the exchanged-photon paths carry the largest term;
+# with delta_2 = -0.6 and few atoms the doubly excited ones do
+@pytest.mark.parametrize("delta_2", (0.9, -0.6))
+@pytest.mark.parametrize("atoms", range(2, 9))
+@pytest.mark.parametrize("rule", ALL_RULES, ids=lambda rule: rule.selector)
+def test_symmetric_sector_matches_labelled_oracle(atoms, rule, delta_2):
+    params = CollisionModelParams(coupling=0.1, atoms=atoms, delta_1=1.0,
+                                  delta_2=delta_2, width=rule.width)
+    totals, singles, path_scale = {}, {}, 0.0
+    for n1, n2 in FIT_GRID:
+        point = replace(params, n_1=n1, n_2=n2)
+        oracle = rspt_energy(labelled_perturbation_problem(point, rule, atoms))
+        result = rspt_energy(build_problem(point, rule))
+        for k in (2, 4):
+            assert abs(result.order(k) - oracle.order(k)) <= 1e-12 * abs(oracle.order(k))
+        for key in ("basis_size", "path_terms", "renormalization_terms"):
+            assert result.diagnostics[key] == oracle.diagnostics[key], key
+        assert result.diagnostics["max_path_term"] == pytest.approx(
+            oracle.diagnostics["max_path_term"], rel=1e-12)
+        totals[(n1, n2)] = oracle.order(4)
+        singles[(n1, n2)] = rspt_energy(labelled_perturbation_problem(point, rule, 1)).order(4)
+        path_scale = max(path_scale, oracle.diagnostics["max_path_term"])
+
+    cross = (fit_bilinear(FIT_GRID, [totals[p] for p in FIT_GRID])[(1, 1)]
+             - atoms * fit_bilinear(FIT_GRID, [singles[p] for p in FIT_GRID])[(1, 1)])
+    fit = cross_fit(params, rule)
+    assert fit.path_scale == pytest.approx(path_scale, rel=1e-12)
+    # a cancelled coefficient is round-off, so it is compared on the scale
+    # that calls it zero; a surviving one is compared to itself
+    scale = abs(cross) if rule.selector == "exchanged-photon-ground-states" else path_scale
+    assert abs(fit.value - cross) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("atoms", (100, 10 ** 4, 10 ** 6))
+@pytest.mark.parametrize("rule", ALL_RULES[:2], ids=lambda rule: rule.selector)
+def test_cancellation_holds_at_large_atom_counts(atoms, rule):
+    # the yardstick is |E4| on the grid: path_scale grows with N through
+    # E2 and would let round-off of order eps * N pass
+    params = CollisionModelParams(coupling=0.1, atoms=atoms, delta_1=1.0,
+                                  delta_2=0.9, width=rule.width)
+    fit = cross_fit(params, rule)
+    e4_scale = max(abs(value) for value in fit.grid.values())
+    assert abs(fit.value) <= 1e-12 * e4_scale
+
+
+def test_pair_scaling_holds_at_large_atom_counts():
+    rule = ALL_RULES[2]
+
+    def per_pair(atoms):
+        params = CollisionModelParams(coupling=0.1, atoms=atoms, delta_1=1.0,
+                                      delta_2=0.9, width=rule.width)
+        return cross_coefficient(params, rule) / (atoms * (atoms - 1) / 2.0), params
+
+    base, _ = per_pair(2)
+    for atoms in (100, 10 ** 4, 10 ** 6):
+        value, params = per_pair(atoms)
+        assert abs(value - base) <= 1e-9 * abs(base)
+        expected = params.reference_detuning / rule.width
+        assert abs(value.imag / value.real) == pytest.approx(expected, rel=0.2)
+
+
+def test_basis_stays_small_at_large_atom_counts():
+    params = CollisionModelParams(coupling=0.1, atoms=10 ** 6, delta_1=1.0,
+                                  delta_2=0.9, n_1=3, n_2=3)
+    problem = build_problem(params, NONE_RULE)
+    assert problem.dim == 8
+    diag = rspt_energy(problem).diagnostics
+    pairs = math.comb(10 ** 6, 2)
+    assert diag["basis_size"] == 1 + 2 * 10 ** 6 + 2 + 3 * pairs
+    assert diag["renormalization_terms"] == 2 * 10 ** 6
+
+
+@pytest.mark.parametrize("rule", ALL_RULES, ids=lambda rule: rule.selector)
+def test_basis_stays_small_at_large_photon_numbers(rule):
+    # the kept states are built directly, so the cost does not grow with
+    # the photon numbers either
+    params = CollisionModelParams(coupling=0.1, atoms=2, delta_1=1.0, delta_2=0.9,
+                                  width=rule.width, n_1=10 ** 4, n_2=10 ** 4)
+    problem = build_problem(params, rule)
+    assert problem.dim == 8
+    assert build_problem(replace(params, atoms=10 ** 6), rule).dim == 8
+    result = rspt_energy(problem)
+    oracle = rspt_energy(labelled_perturbation_problem(params, rule, 2))
+    for k in (2, 4):
+        assert abs(result.order(k) - oracle.order(k)) <= 1e-12 * abs(oracle.order(k))
+    for key in ("basis_size", "path_terms", "renormalization_terms"):
+        assert result.diagnostics[key] == oracle.diagnostics[key], key
+    assert result.diagnostics["max_path_term"] == pytest.approx(
+        oracle.diagnostics["max_path_term"], rel=1e-12)
+
+
+def test_far_states_do_not_trigger_singularity():
+    # 2 delta_1 = delta_2 makes (n1 - 2, n2 + 1, 1) resonant with the
+    # reference, three V steps away: it cannot enter the fourth order
+    params = CollisionModelParams(coupling=0.1, atoms=3, delta_1=1.0, delta_2=2.0,
+                                  n_1=2, n_2=2)
+    problem = build_problem(params, NONE_RULE)
+    assert (0, 3, 1) not in problem.states
+    oracle = rspt_energy(labelled_perturbation_problem(params, NONE_RULE, 3))
+    assert rspt_energy(problem).order(4) == pytest.approx(oracle.order(4), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
