@@ -40,7 +40,8 @@ __all__ = ["ScenarioError", "Scenario", "parse_scenario", "run_scenario", "main"
 
 KINDS = ("simulate", "gate", "five-pulse", "perturb", "rates", "sweep")
 
-#: Largest ``count`` of a start/stop/count grid.
+#: Largest number of points of a grid or literal value list, and of rows
+#: of a ``rates`` table.
 MAX_GRID_COUNT = 10_000
 
 #: Largest ``--parallel`` value of a sweep.
@@ -125,11 +126,18 @@ def _integer(value, context: str, *, minimum=None, maximum=None) -> int:
     return int(value)
 
 
+def _check_length(values: list, context: str) -> None:
+    if len(values) > MAX_GRID_COUNT:
+        _fail(f"{context} lists {len(values)} values, more than "
+              f"{MAX_GRID_COUNT}")
+
+
 def _value_list(spec, context: str, *, minimum=None) -> List[float]:
     """A list of numbers, given either literally or as start/stop/count."""
     if isinstance(spec, list):
         if not spec:
             _fail(f"{context} must not be empty")
+        _check_length(spec, context)
         return [_number(v, f"{context}[{i}]", minimum=minimum)
                 for i, v in enumerate(spec)]
     if not isinstance(spec, dict):
@@ -388,6 +396,10 @@ def _parse_rates(data: dict, scenario: Scenario) -> None:
             parsed[key] = values
         else:
             parsed[key] = _number(params[key], context, strict_min=0.0)
+    rows = len(parsed["density"]) * len(parsed["wavenumber"])
+    if rows > MAX_GRID_COUNT:
+        _fail(f"parameters.density x parameters.wavenumber makes a table of "
+              f"{rows} rows, more than {MAX_GRID_COUNT}")
     scenario.parameters = parsed
 
 
@@ -417,6 +429,7 @@ def _parse_sweep(data: dict, scenario: Scenario) -> None:
     if isinstance(values, list):
         if not values:
             _fail("parameters.values must not be empty")
+        _check_length(values, "parameters.values")
         points = list(values)
     else:
         points = _value_list(values, "parameters.values")
@@ -647,8 +660,9 @@ _COMPUTE = {
 }
 
 
-def _sweep_point(base: dict, keys: List[str], value) -> Tuple[str, dict]:
-    """Run one sweep point; returns (status, summary columns)."""
+def _sweep_point(base: dict, keys: List[str], value,
+                 ) -> Tuple[str, dict, Optional[str]]:
+    """Run one sweep point; returns (status, summary columns, error)."""
     data = copy.deepcopy(base)
     cursor = data
     for key in keys[:-1]:
@@ -656,34 +670,40 @@ def _sweep_point(base: dict, keys: List[str], value) -> Tuple[str, dict]:
     cursor[keys[-1]] = value
     try:
         point = validate_scenario(data)
-    except ScenarioError:
-        return "validation-error", {}
+    except ScenarioError as exc:
+        return "validation-error", {}, f"{type(exc).__name__}: {exc}"
     try:
         result = _COMPUTE[point.kind](point)
-    except (SingularityError, NoDynamicsError, ValueError):
-        return "numerical-error", {}
-    return "ok", _sweep_summary(point.kind, result)
+    except (SingularityError, NoDynamicsError, ValueError) as exc:
+        return "numerical-error", {}, f"{type(exc).__name__}: {exc}"
+    return "ok", _sweep_summary(point.kind, result), None
 
 
-def _run_sweep(scenario: Scenario, out_dir: Path, parallelism: int) -> int:
+def _run_sweep(scenario: Scenario, out_dir: Path,
+               parallelism: int) -> Tuple[int, List[dict]]:
+    """Run and tabulate a sweep; returns (exit code, failed points)."""
     params = scenario.parameters
     base = params["base"]
     keys = params["parameter"]
     values = params["values"]
     columns = _SWEEP_COLUMNS[base["kind"]]
-    with ThreadPoolExecutor(max_workers=max(1, parallelism)) as pool:
+    with ThreadPoolExecutor(max_workers=min(parallelism, len(values))) as pool:
         outcomes = list(pool.map(
             lambda value: _sweep_point(base, keys, value), values))
     rows = []
-    for index, (value, (status, summary)) in enumerate(zip(values, outcomes)):
+    failures = []
+    for index, (value, (status, summary, error)) in enumerate(
+            zip(values, outcomes)):
         rows.append([index, value, status]
                     + [summary.get(column, "") for column in columns])
+        if status != "ok":
+            failures.append({"index": index, "status": status, "error": error})
     write_csv(out_dir / scenario.output["table"],
               ["index", "value", "status"] + list(columns), rows)
-    statuses = [status for status, _ in outcomes]
+    statuses = [status for status, _, _ in outcomes]
     if "ok" in statuses:
-        return 0
-    return 2 if "numerical-error" in statuses else 1
+        return 0, failures
+    return (2 if "numerical-error" in statuses else 1), failures
 
 
 _EMIT = {
@@ -699,17 +719,14 @@ def run_scenario(scenario: Scenario, out_dir, parallelism: int = 1) -> int:
     """Execute a validated scenario, writing artifacts into out_dir."""
     out_dir = Path(out_dir)
     ensure_dir(out_dir)
+    meta = {"schema_version": 1, "kind": scenario.kind}
     if scenario.kind == "sweep":
-        code = _run_sweep(scenario, out_dir, parallelism)
+        code, meta["failed_points"] = _run_sweep(scenario, out_dir, parallelism)
     else:
         result = _COMPUTE[scenario.kind](scenario)
         _EMIT[scenario.kind](result, scenario, out_dir)
         code = 0
-    meta = {
-        "schema_version": 1,
-        "kind": scenario.kind,
-        "written_at": datetime.now(timezone.utc).isoformat(),
-    }
+    meta["written_at"] = datetime.now(timezone.utc).isoformat()
     write_json(out_dir / "run.meta.json", meta)
     return code
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import expm
 
 from .hilbert import (
     BasisState,
@@ -98,7 +97,8 @@ class PulseSegment:
 
     @property
     def lossless(self) -> bool:
-        return not self.widths and not self.state_widths
+        """True when no mode or state carries a non-zero width."""
+        return not any(self.widths.values()) and not any(self.state_widths.values())
 
 
 def segment_hamiltonian(basis: HilbertBasis, segment: PulseSegment) -> OperatorMatrix:
@@ -126,9 +126,10 @@ def evolve_segment(generator: OperatorMatrix, state: np.ndarray,
                    duration: float) -> np.ndarray:
     """Apply exp(-i H t) to a state vector.
 
-    Hermitian generators are propagated through their eigendecomposition;
-    non-Hermitian ones (decay widths) go through the scaled-and-squared
-    matrix exponential.
+    Generators flagged Hermitian are propagated through their
+    eigendecomposition; the rest (non-zero decay widths) go through the
+    scaled-and-squared matrix exponential, the only use of ``scipy.linalg``,
+    which is imported there so that lossless runs never load it.
     """
     if not np.isfinite(duration) or duration < 0:
         raise ValueError("duration must be finite and non-negative")
@@ -141,12 +142,13 @@ def evolve_segment(generator: OperatorMatrix, state: np.ndarray,
         raise ValueError("state entries must be finite")
     if duration == 0.0:
         return state.copy()
-    h = generator.matrix
-    if generator.hermitian or np.max(np.abs(h - h.conj().T)) <= 1e-12:
-        evals, evecs = np.linalg.eigh(h)
+    if generator.hermitian:
+        evals, evecs = np.linalg.eigh(generator.matrix)
         phases = np.exp(-1j * evals * duration)
         return evecs @ (phases * (evecs.conj().T @ state))
-    return expm(-1j * h * duration) @ state
+    from scipy.linalg import expm
+
+    return expm(-1j * generator.matrix * duration) @ state
 
 
 @dataclass

@@ -294,6 +294,12 @@ def test_sweep_reports_failed_points(tmp_path):
     assert rows[0][header.index("cross_abs")] == ""
     assert rows[1][2] == "ok"
     assert float(rows[1][header.index("cross_abs")]) > 0.0
+    meta = json.loads((out / "run.meta.json").read_text())
+    assert meta["failed_points"] == [{
+        "index": 0, "status": "validation-error",
+        "error": "ScenarioError: parameters.rule.width must be >= 0.0, "
+                 "got -0.5"}]
+    assert "ScenarioError" not in (out / "sweep.csv").read_text()
 
 
 def test_sweep_all_points_failing_numerically_exits_2(tmp_path):
@@ -317,6 +323,9 @@ def test_sweep_all_points_failing_numerically_exits_2(tmp_path):
     assert main(["sweep", "--scenario", str(sweep_yaml), "--out", str(out)]) == 2
     _, rows = _read_csv(out / "sweep.csv")
     assert rows[0][2] == "numerical-error"
+    [failed] = json.loads((out / "run.meta.json").read_text())["failed_points"]
+    assert failed["index"] == 0 and failed["status"] == "numerical-error"
+    assert failed["error"].startswith("SingularityError: ")
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +392,81 @@ def test_parallel_is_capped_before_threads_start(tmp_path, monkeypatch, capsys):
     monkeypatch.undo()
     assert main(["sweep", "--scenario", scenario, "--out", str(tmp_path),
                  "--parallel", str(MAX_PARALLEL)]) == 0
+
+
+def test_sweep_pool_is_sized_by_the_points(tmp_path, monkeypatch):
+    scenario = tmp_path / "two.yaml"
+    scenario.write_text(dedent("""
+        kind: sweep
+        parameters:
+          parameter: parameters.rule.width
+          values: [0.0, 0.01]
+          base:
+            kind: perturb
+            parameters:
+              coupling: 0.05
+              atoms: 2
+              delta_1: 1.0
+              delta_2: 0.9
+              rule: {selector: exchanged-photon-ground-states, width: 0.0}
+    """))
+    requested = []
+    real_pool = cli.ThreadPoolExecutor
+
+    def recording_pool(max_workers):
+        requested.append(max_workers)
+        return real_pool(max_workers=max_workers)
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", recording_pool)
+    for parallel in ("64", "1"):
+        assert main(["sweep", "--scenario", str(scenario),
+                     "--out", str(tmp_path / parallel),
+                     "--parallel", parallel]) == 0
+    assert requested == [2, 1]
+    assert ((tmp_path / "64" / "sweep.csv").read_bytes()
+            == (tmp_path / "1" / "sweep.csv").read_bytes())
+
+
+def _refuse_compute(monkeypatch, kind):
+    def refuse(scenario):
+        raise AssertionError(f"an oversized {kind} scenario reached compute")
+
+    monkeypatch.setitem(cli._COMPUTE, kind, refuse)
+
+
+def test_rates_table_is_capped_before_allocation(tmp_path, monkeypatch, capsys):
+    _refuse_compute(monkeypatch, "rates")
+    data = yaml.safe_load((SCENARIOS / "rates_high_density.yaml").read_text())
+    data["parameters"]["density"] = {"start": 1e23, "stop": 1e25, "count": 100}
+    data["parameters"]["wavenumber"] = {"start": 4e6, "stop": 8e6,
+                                        "count": MAX_GRID_COUNT // 100}
+    assert cli.validate_scenario(data).kind == "rates"   # exactly at the cap
+    for density_count in (101, MAX_GRID_COUNT):
+        data["parameters"]["density"]["count"] = density_count
+        rows = density_count * (MAX_GRID_COUNT // 100)
+        message = f"makes a table of {rows} rows, more than {MAX_GRID_COUNT}"
+        with pytest.raises(ScenarioError, match=message):
+            cli.validate_scenario(data)
+    path = tmp_path / "huge_rates.yaml"
+    path.write_text(yaml.safe_dump(data))
+    assert main(["rates", "--scenario", str(path), "--out", str(tmp_path)]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "regime_map.csv").exists()
+
+
+def test_literal_sweep_values_are_capped(tmp_path, monkeypatch, capsys):
+    _refuse_compute(monkeypatch, "perturb")
+    data = yaml.safe_load((SCENARIOS / "sweep_perturb_width.yaml").read_text())
+    data["parameters"]["values"] = [0.0] * (MAX_GRID_COUNT + 1)
+    message = (f"parameters.values lists {MAX_GRID_COUNT + 1} values, "
+               f"more than {MAX_GRID_COUNT}")
+    with pytest.raises(ScenarioError, match=message):
+        cli.validate_scenario(data)
+    path = tmp_path / "long_sweep.yaml"
+    path.write_text(yaml.safe_dump(data))
+    assert main(["sweep", "--scenario", str(path), "--out", str(tmp_path)]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "perturb_width.csv").exists()
 
 
 def test_missing_scenario_file_exits_1(tmp_path, capsys):

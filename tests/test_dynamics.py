@@ -1,6 +1,7 @@
 """Tests for pulsed evolution, Rabi analysis, and the loss/phase scans."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -152,6 +153,30 @@ def test_segment_validation():
     assert seg.lossless
     lossy = PulseSegment(duration=1.0, widths={"a": 0.1})
     assert not lossy.lossless
+    assert not PulseSegment(duration=1.0, state_widths={(1, 0): 0.1}).lossless
+
+
+def test_zero_widths_stay_on_the_hermitian_path(monkeypatch):
+    # A None entry in sys.modules makes any import of scipy.linalg fail.
+    monkeypatch.setitem(sys.modules, "scipy.linalg", None)
+    model = ExchangeModel()
+    basis = model.basis(1)
+    coupling = ("photon_1", "collective", 1.0)
+    bare = PulseSegment(duration=1.3, coupling=coupling,
+                        detunings={"collective": 0.5})
+    bare_bytes = run_schedule([bare], basis, (1, 0, 0)).states.tobytes()
+    for extra in ({"widths": {"collective": 0.0}},
+                  {"widths": {"photon_1": 0.0, "collective": 0.0}},
+                  {"state_widths": {(0, 0, 1): 0.0}}):
+        seg = PulseSegment(duration=1.3, coupling=coupling,
+                           detunings={"collective": 0.5}, **extra)
+        assert seg.lossless
+        assert segment_hamiltonian(basis, seg).hermitian
+        assert run_schedule([seg], basis, (1, 0, 0)).states.tobytes() == bare_bytes
+    lossy = PulseSegment(duration=1.3, coupling=coupling,
+                         widths={"collective": 0.1})
+    with pytest.raises(ImportError):
+        run_schedule([lossy], basis, (1, 0, 0))
 
 
 def test_run_schedule_vacuum_is_constant():

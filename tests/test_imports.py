@@ -1,0 +1,73 @@
+"""Import-weight guard: scipy loads only on the paths that use it.
+
+Each check runs in a fresh interpreter, since the test process itself has
+long since imported scipy through other tests.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+_ALL_SCENARIOS = """
+import importlib, json, pkgutil, sys
+from pathlib import Path
+import exchangelab
+from exchangelab import cli
+for info in pkgutil.iter_modules(exchangelab.__path__):
+    importlib.import_module(f"exchangelab.{info.name}")
+codes = {}
+for path in sorted(Path(sys.argv[1]).glob("*.yaml")):
+    kind = cli.parse_scenario(path.read_text()).kind
+    codes[path.name] = cli.main([kind, "--scenario", str(path),
+                                 "--out", str(Path(sys.argv[2]) / path.stem)])
+print(json.dumps({"codes": codes,
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+_LOSSY_RUN = """
+import json, sys
+from pathlib import Path
+from exchangelab import cli
+path = Path(sys.argv[2]) / "lossy.yaml"
+path.write_text('''
+kind: simulate
+model: {type: bosonized}
+schedule:
+  segments:
+    - duration: 1.0
+      coupling: {modes: [photon_1, collective], rate: 1.0}
+      widths: {collective: 0.2}
+parameters: {experiment: schedule-run, initial: [1, 0, 0]}
+''')
+code = cli.main(["simulate", "--scenario", str(path), "--out", sys.argv[2]])
+print(json.dumps({"codes": {"lossy.yaml": code},
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def _fresh_run(script, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(ROOT / "scenarios"), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def test_package_and_documented_scenarios_load_no_scipy(tmp_path):
+    out = _fresh_run(_ALL_SCENARIOS, tmp_path)
+    assert len(out["codes"]) == len(list((ROOT / "scenarios").glob("*.yaml")))
+    assert set(out["codes"].values()) == {0}
+    assert out["scipy"] == []
+
+
+def test_lossy_segment_loads_scipy_linalg(tmp_path):
+    out = _fresh_run(_LOSSY_RUN, tmp_path)
+    assert out["codes"] == {"lossy.yaml": 0}
+    assert "scipy.linalg" in out["scipy"]
+    assert (tmp_path / "trajectory.csv").is_file()
