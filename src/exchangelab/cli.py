@@ -25,7 +25,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 import yaml
@@ -38,41 +38,17 @@ from .serialize import ensure_dir, write_csv, write_json
 
 __all__ = ["ScenarioError", "Scenario", "parse_scenario", "run_scenario", "main"]
 
-KINDS = ("simulate", "gate", "five-pulse", "perturb", "rates", "sweep")
-
-#: Largest number of points of a grid or literal value list, and of rows
-#: of a ``rates`` table.
+#: Largest number of points of a grid or literal value list, of rows of a
+#: ``rates`` table, and of samples of a ``schedule-run`` trajectory.
 MAX_GRID_COUNT = 10_000
 
 #: Largest ``--parallel`` value of a sweep.
 MAX_PARALLEL = 64
 
-_TOP_KEYS = {
-    "simulate": ("kind", "model", "schedule", "parameters", "output"),
-    "gate": ("kind", "model", "schedule", "parameters", "output"),
-    "five-pulse": ("kind", "model", "parameters", "output"),
-    "perturb": ("kind", "parameters", "output"),
-    "rates": ("kind", "parameters", "output"),
-    "sweep": ("kind", "parameters", "output"),
-}
+#: Largest sector dimension of a ``schedule-run`` model.
+MAX_SECTOR_DIM = 2048
 
-_OUTPUT_KEYS = {
-    "simulate": ("scan", "trajectory"),
-    "gate": ("report",),
-    "five-pulse": ("table", "report"),
-    "perturb": ("report",),
-    "rates": ("table", "report"),
-    "sweep": ("table",),
-}
-
-_DEFAULT_OUTPUT = {
-    "simulate": {"scan": "transmission.csv", "trajectory": "trajectory.csv"},
-    "gate": {"report": "gate.json"},
-    "five-pulse": {"table": "five_pulse.csv", "report": "five_pulse.json"},
-    "perturb": {"report": "perturbation.json"},
-    "rates": {"table": "regime_map.csv", "report": "rates.json"},
-    "sweep": {"table": "sweep.csv"},
-}
+_META = "run.meta.json"
 
 
 class ScenarioError(ValueError):
@@ -247,15 +223,19 @@ def _parse_schedule(data: dict, model: gates.ExchangeModel,
     return [_parse_segment(seg, i, labels) for i, seg in enumerate(segments)], None
 
 
-def _parse_output(data: dict, kind: str) -> Dict[str, str]:
-    spec = data.get("output", {})
-    spec = _require_mapping(spec, "output")
-    _check_keys(spec, _OUTPUT_KEYS[kind], "output")
-    out = dict(_DEFAULT_OUTPUT[kind])
+def _parse_output(data: dict, defaults: Dict[str, str]) -> Dict[str, str]:
+    """Output file names: plain, distinct names inside ``--out``."""
+    spec = _require_mapping(data.get("output", {}), "output")
+    _check_keys(spec, tuple(defaults), "output")
     for key, value in spec.items():
-        if not isinstance(value, str) or not value or Path(value).is_absolute():
-            _fail(f"output.{key} must be a relative file name")
-        out[key] = value
+        if (not isinstance(value, str) or value in ("", "..", _META)
+                or "\0" in value or Path(value).name != value):
+            _fail(f"output.{key} must be a plain file name relative to --out, "
+                  f"without a directory part and other than {_META}, "
+                  f"got {value!r}")
+    out = {**defaults, **spec}
+    if len(set(out.values())) < len(out):
+        _fail(f"output file names must be distinct, got {out}")
     return out
 
 
@@ -289,16 +269,23 @@ def _parse_simulate(data: dict, scenario: Scenario) -> None:
                   f"(modes {', '.join(labels)})")
         occ = tuple(_integer(v, f"parameters.initial[{i}]", minimum=0)
                     for i, v in enumerate(initial))
-        cap = scenario.model.modes()[2].max_occupation(sum(occ))
+        total = sum(occ)
+        cap = scenario.model.modes()[2].max_occupation(total)
         if occ[2] > cap:
             _fail(f"parameters.initial[2] exceeds the collective capacity {cap}")
-        scenario.parameters = {
-            "experiment": experiment,
-            "initial": occ,
-            "samples_per_segment": _integer(
-                params.get("samples_per_segment", 32),
-                "parameters.samples_per_segment", minimum=1),
-        }
+        # (n1, n2, k) with n1 + n2 + k = total and k <= cap
+        dim = (cap + 1) * (total + 1) - cap * (cap + 1) // 2
+        if dim > MAX_SECTOR_DIM:
+            _fail(f"parameters.initial spans a sector of dimension {dim}, "
+                  f"more than {MAX_SECTOR_DIM}")
+        samples = _integer(params.get("samples_per_segment", 32),
+                           "parameters.samples_per_segment", minimum=1)
+        count = len(scenario.schedule) * samples
+        if count > MAX_GRID_COUNT:
+            _fail(f"schedule segments x parameters.samples_per_segment makes "
+                  f"{count} samples, more than {MAX_GRID_COUNT}")
+        scenario.parameters = {"experiment": experiment, "initial": occ,
+                               "samples_per_segment": samples}
         return
     _fail("parameters.experiment must be transmission or schedule-run, "
           f"got {experiment!r}")
@@ -436,28 +423,19 @@ def _parse_sweep(data: dict, scenario: Scenario) -> None:
     scenario.parameters = {"parameter": keys, "values": points, "base": base}
 
 
-_PARSERS = {
-    "simulate": _parse_simulate,
-    "gate": _parse_gate,
-    "five-pulse": _parse_five_pulse,
-    "perturb": _parse_perturb,
-    "rates": _parse_rates,
-    "sweep": _parse_sweep,
-}
-
-
 def validate_scenario(data: dict) -> Scenario:
     """Validate an already-decoded scenario document."""
     data = _require_mapping(data, "scenario")
     kind = data.get("kind")
-    if kind not in KINDS:
+    if kind not in _KINDS:
         hints = difflib.get_close_matches(str(kind), KINDS, n=1)
         hint = f"; did you mean {hints[0]!r}?" if hints else ""
         _fail(f"kind must be one of {', '.join(KINDS)}, got {kind!r}{hint}")
-    _check_keys(data, _TOP_KEYS[kind], "scenario")
+    entry = _KINDS[kind]
+    _check_keys(data, ("kind", *entry.sections, "output"), "scenario")
     scenario = Scenario(kind=kind, data=copy.deepcopy(data))
-    _PARSERS[kind](data, scenario)
-    scenario.output = _parse_output(data, kind)
+    entry.parse(data, scenario)
+    scenario.output = _parse_output(data, entry.outputs)
     return scenario
 
 
@@ -472,7 +450,8 @@ def parse_scenario(text: str) -> Scenario:
 
 # --------------------------------------------------------------------------
 # Runners: each kind has a pure compute step (shared with sweeps) and an
-# emit step that writes the artifacts.
+# emit step that writes the artifacts.  A compute result holds the kind's
+# sweep columns under their column names.
 
 def _compute_simulate(scenario: Scenario) -> dict:
     params = scenario.parameters
@@ -505,7 +484,10 @@ def _compute_gate(scenario: Scenario) -> dict:
                                 scenario.model,
                                 tol=scenario.parameters["tolerance"])
     deviation = float(np.max(np.abs(report.matrix - gates.THREE_PULSE_TARGET)))
-    return {"report": report, "deviation": deviation}
+    return {"report": report, "deviation": deviation,
+            "entangling": report.entangling,
+            "max_leakage": float(np.max(report.leakage)),
+            "unitarity_defect": report.unitarity_defect}
 
 
 def _emit_gate(result: dict, scenario: Scenario, out_dir: Path) -> List[Path]:
@@ -525,7 +507,9 @@ def _compute_five_pulse(scenario: Scenario) -> dict:
         rows.append([theta, leak.p_two_photon, leak.p_two_excitation,
                      leak.p_return])
     couplings = gates.stimulated_couplings(scenario.model, params["rate"])
-    return {"rows": rows, "couplings": couplings}
+    _, p_two_photon, p_two_excitation, p_return = rows[0]
+    return {"rows": rows, "couplings": couplings, "p_two_photon": p_two_photon,
+            "p_two_excitation": p_two_excitation, "p_return": p_return}
 
 
 def _emit_five_pulse(result: dict, scenario: Scenario,
@@ -556,7 +540,9 @@ def _compute_perturb(scenario: Scenario) -> dict:
     d_e, d_e_prime = perturbation.franson_formula(params)
     return {"fit": fit, "orders": result.orders,
             "diagnostics": result.diagnostics,
-            "franson": (d_e, d_e_prime)}
+            "franson": (d_e, d_e_prime),
+            "cross_re": fit.value.real, "cross_im": fit.value.imag,
+            "cross_abs": abs(fit.value), "path_scale": fit.path_scale}
 
 
 def _emit_perturb(result: dict, scenario: Scenario, out_dir: Path) -> List[Path]:
@@ -598,7 +584,11 @@ def _compute_rates(scenario: Scenario) -> dict:
             rows.append([density, wavenumber, report.regime,
                          report.dominant_rate, report.cooperative_rate,
                          report.cooperation_wins])
-    return {"rows": rows, "reports": reports}
+    first = reports[0]
+    return {"rows": rows, "reports": reports, "regime": first.regime,
+            "cooperative_rate": first.cooperative_rate,
+            "dominant_rate": first.dominant_rate,
+            "cooperation_wins": first.cooperation_wins}
 
 
 def _emit_rates(result: dict, scenario: Scenario, out_dir: Path) -> List[Path]:
@@ -613,56 +603,53 @@ def _emit_rates(result: dict, scenario: Scenario, out_dir: Path) -> List[Path]:
     return written
 
 
-_SWEEP_COLUMNS = {
-    "simulate": ("survival_min", "survival_max", "final_norm"),
-    "gate": ("deviation", "entangling", "max_leakage", "unitarity_defect"),
-    "five-pulse": ("p_two_photon", "p_two_excitation", "p_return"),
-    "perturb": ("cross_re", "cross_im", "cross_abs", "path_scale"),
-    "rates": ("regime", "cooperative_rate", "dominant_rate",
-              "cooperation_wins"),
+class _Kind(NamedTuple):
+    """Everything the CLI knows about one scenario kind."""
+
+    sections: Tuple[str, ...]           # top-level keys besides kind, output
+    outputs: Dict[str, str]             # output key -> default file name
+    parse: Callable[[dict, Scenario], None]
+    compute: Optional[Callable[[Scenario], dict]]   # None: run as a sweep
+    emit: Optional[Callable[[dict, Scenario, Path], List[Path]]]
+    columns: Tuple[str, ...]            # sweep summary columns
+
+
+_DYNAMICS = ("model", "schedule", "parameters")
+
+_KINDS: Dict[str, _Kind] = {
+    "simulate": _Kind(
+        _DYNAMICS, {"scan": "transmission.csv", "trajectory": "trajectory.csv"},
+        _parse_simulate, _compute_simulate, _emit_simulate,
+        ("survival_min", "survival_max", "final_norm")),
+    "gate": _Kind(
+        _DYNAMICS, {"report": "gate.json"},
+        _parse_gate, _compute_gate, _emit_gate,
+        ("deviation", "entangling", "max_leakage", "unitarity_defect")),
+    "five-pulse": _Kind(
+        ("model", "parameters"),
+        {"table": "five_pulse.csv", "report": "five_pulse.json"},
+        _parse_five_pulse, _compute_five_pulse, _emit_five_pulse,
+        ("p_two_photon", "p_two_excitation", "p_return")),
+    "perturb": _Kind(
+        ("parameters",), {"report": "perturbation.json"},
+        _parse_perturb, _compute_perturb, _emit_perturb,
+        ("cross_re", "cross_im", "cross_abs", "path_scale")),
+    "rates": _Kind(
+        ("parameters",), {"table": "regime_map.csv", "report": "rates.json"},
+        _parse_rates, _compute_rates, _emit_rates,
+        ("regime", "cooperative_rate", "dominant_rate", "cooperation_wins")),
+    "sweep": _Kind(("parameters",), {"table": "sweep.csv"},
+                   _parse_sweep, None, None, ()),
 }
 
-
-def _sweep_summary(kind: str, result: dict) -> dict:
-    if kind == "simulate":
-        return {key: result[key] for key in
-                ("survival_min", "survival_max", "final_norm")
-                if key in result}
-    if kind == "gate":
-        report = result["report"]
-        return {
-            "deviation": result["deviation"],
-            "entangling": report.entangling,
-            "max_leakage": float(np.max(report.leakage)),
-            "unitarity_defect": report.unitarity_defect,
-        }
-    if kind == "five-pulse":
-        first = result["rows"][0]
-        return {"p_two_photon": first[1], "p_two_excitation": first[2],
-                "p_return": first[3]}
-    if kind == "perturb":
-        fit = result["fit"]
-        return {"cross_re": fit.value.real, "cross_im": fit.value.imag,
-                "cross_abs": abs(fit.value), "path_scale": fit.path_scale}
-    report = result["reports"][0]
-    return {"regime": report.regime,
-            "cooperative_rate": report.cooperative_rate,
-            "dominant_rate": report.dominant_rate,
-            "cooperation_wins": report.cooperation_wins}
-
-
-_COMPUTE = {
-    "simulate": _compute_simulate,
-    "gate": _compute_gate,
-    "five-pulse": _compute_five_pulse,
-    "perturb": _compute_perturb,
-    "rates": _compute_rates,
-}
+KINDS = tuple(_KINDS)
 
 
 def _sweep_point(base: dict, keys: List[str], value,
-                 ) -> Tuple[str, dict, Optional[str]]:
-    """Run one sweep point; returns (status, summary columns, error)."""
+                 ) -> Tuple[str, list, Optional[str]]:
+    """Run one sweep point; returns (status, summary cells, error)."""
+    columns = _KINDS[base["kind"]].columns
+    blank = [""] * len(columns)
     data = copy.deepcopy(base)
     cursor = data
     for key in keys[:-1]:
@@ -671,12 +658,12 @@ def _sweep_point(base: dict, keys: List[str], value,
     try:
         point = validate_scenario(data)
     except ScenarioError as exc:
-        return "validation-error", {}, f"{type(exc).__name__}: {exc}"
+        return "validation-error", blank, f"{type(exc).__name__}: {exc}"
     try:
-        result = _COMPUTE[point.kind](point)
+        result = _KINDS[point.kind].compute(point)
     except (SingularityError, NoDynamicsError, ValueError) as exc:
-        return "numerical-error", {}, f"{type(exc).__name__}: {exc}"
-    return "ok", _sweep_summary(point.kind, result), None
+        return "numerical-error", blank, f"{type(exc).__name__}: {exc}"
+    return "ok", [result.get(column, "") for column in columns], None
 
 
 def _run_sweep(scenario: Scenario, out_dir: Path,
@@ -686,33 +673,23 @@ def _run_sweep(scenario: Scenario, out_dir: Path,
     base = params["base"]
     keys = params["parameter"]
     values = params["values"]
-    columns = _SWEEP_COLUMNS[base["kind"]]
+    columns = _KINDS[base["kind"]].columns
     with ThreadPoolExecutor(max_workers=min(parallelism, len(values))) as pool:
         outcomes = list(pool.map(
             lambda value: _sweep_point(base, keys, value), values))
     rows = []
     failures = []
-    for index, (value, (status, summary, error)) in enumerate(
+    for index, (value, (status, cells, error)) in enumerate(
             zip(values, outcomes)):
-        rows.append([index, value, status]
-                    + [summary.get(column, "") for column in columns])
+        rows.append([index, value, status] + cells)
         if status != "ok":
             failures.append({"index": index, "status": status, "error": error})
     write_csv(out_dir / scenario.output["table"],
-              ["index", "value", "status"] + list(columns), rows)
+              ["index", "value", "status", *columns], rows)
     statuses = [status for status, _, _ in outcomes]
     if "ok" in statuses:
         return 0, failures
     return (2 if "numerical-error" in statuses else 1), failures
-
-
-_EMIT = {
-    "simulate": _emit_simulate,
-    "gate": _emit_gate,
-    "five-pulse": _emit_five_pulse,
-    "perturb": _emit_perturb,
-    "rates": _emit_rates,
-}
 
 
 def run_scenario(scenario: Scenario, out_dir, parallelism: int = 1) -> int:
@@ -720,14 +697,14 @@ def run_scenario(scenario: Scenario, out_dir, parallelism: int = 1) -> int:
     out_dir = Path(out_dir)
     ensure_dir(out_dir)
     meta = {"schema_version": 1, "kind": scenario.kind}
-    if scenario.kind == "sweep":
+    entry = _KINDS[scenario.kind]
+    if entry.compute is None:
         code, meta["failed_points"] = _run_sweep(scenario, out_dir, parallelism)
     else:
-        result = _COMPUTE[scenario.kind](scenario)
-        _EMIT[scenario.kind](result, scenario, out_dir)
+        entry.emit(entry.compute(scenario), scenario, out_dir)
         code = 0
     meta["written_at"] = datetime.now(timezone.utc).isoformat()
-    write_json(out_dir / "run.meta.json", meta)
+    write_json(out_dir / _META, meta)
     return code
 
 
@@ -742,7 +719,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                          help="path to the YAML scenario file")
         cmd.add_argument("--out", default=".",
                          help="output directory (default: current)")
-        if command == "sweep":
+        if _KINDS[command].compute is None:
             cmd.add_argument("--parallel", type=int, default=1,
                              help="concurrent sweep points, 1 to "
                                   f"{MAX_PARALLEL} (default 1)")

@@ -10,8 +10,9 @@ import yaml
 
 import numpy as np
 
-from exchangelab import cli
-from exchangelab.cli import MAX_GRID_COUNT, MAX_PARALLEL, ScenarioError, main, parse_scenario
+from exchangelab import cli, gates, hilbert
+from exchangelab.cli import (MAX_GRID_COUNT, MAX_PARALLEL, MAX_SECTOR_DIM,
+                             ScenarioError, main, parse_scenario)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -39,6 +40,8 @@ def test_documented_scenarios_parse_and_roundtrip():
         again = parse_scenario(yaml.safe_dump(scenario.data))
         assert again.kind == scenario.kind
         assert again.data == scenario.data
+    kinds = {yaml.safe_load(path.read_text())["kind"] for path in files}
+    assert kinds == set(cli.KINDS)
 
 
 def test_unknown_key_gets_suggestion():
@@ -90,6 +93,10 @@ def test_transmission_rejects_model_block():
         parse_scenario(text)
 
 
+_RATES_PARAMETERS = yaml.safe_load(
+    (SCENARIOS / "rates_high_density.yaml").read_text())["parameters"]
+
+
 def test_output_paths_must_be_relative():
     text = dedent("""
         kind: gate
@@ -98,6 +105,38 @@ def test_output_paths_must_be_relative():
     """)
     with pytest.raises(ScenarioError, match="relative"):
         parse_scenario(text)
+    for name in ("../escaped.csv", "sub/rates.json", "./rates.json", "..",
+                 ".", "", "run.meta.json", "rates.json/", "nul\0.csv"):
+        data = {"kind": "rates", "parameters": _RATES_PARAMETERS,
+                "output": {"table": name}}
+        with pytest.raises(ScenarioError, match="relative"):
+            cli.validate_scenario(data)
+    for output in ({"table": "rates.json"},
+                   {"table": "same.csv", "report": "same.csv"}):
+        data = {"kind": "rates", "parameters": _RATES_PARAMETERS,
+                "output": output}
+        with pytest.raises(ScenarioError, match="must be distinct"):
+            cli.validate_scenario(data)
+    assert cli.validate_scenario(
+        {"kind": "rates", "parameters": _RATES_PARAMETERS,
+         "output": {"table": "..map.csv", "report": "r"}}).output == {
+            "table": "..map.csv", "report": "r"}
+
+
+def test_output_outside_out_is_refused_before_compute(tmp_path, monkeypatch,
+                                                      capsys):
+    _refuse_compute(monkeypatch, "rates")
+    out = tmp_path / "out"
+    for output in ({"table": "../escaped.csv"}, {"report": "sub/rates.json"}):
+        path = tmp_path / "rates.yaml"
+        path.write_text(yaml.safe_dump({"kind": "rates",
+                                        "parameters": _RATES_PARAMETERS,
+                                        "output": output}))
+        assert main(["rates", "--scenario", str(path), "--out", str(out)]) == 1
+        assert "must be a plain file name relative to --out" in (
+            capsys.readouterr().err)
+    assert not (tmp_path / "escaped.csv").exists()
+    assert not out.exists()
 
 
 def test_minimal_gate_scenario_uses_defaults():
@@ -328,6 +367,39 @@ def test_sweep_all_points_failing_numerically_exits_2(tmp_path):
     assert failed["error"].startswith("SingularityError: ")
 
 
+_SUMMARY_COLUMNS = {
+    "simulate": ["survival_min", "survival_max", "final_norm"],
+    "gate": ["deviation", "entangling", "max_leakage", "unitarity_defect"],
+    "five-pulse": ["p_two_photon", "p_two_excitation", "p_return"],
+    "perturb": ["cross_re", "cross_im", "cross_abs", "path_scale"],
+    "rates": ["regime", "cooperative_rate", "dominant_rate",
+              "cooperation_wins"],
+}
+
+_BASE_SCENARIOS = sorted(
+    path.name for path in SCENARIOS.glob("*.yaml")
+    if yaml.safe_load(path.read_text())["kind"] != "sweep")
+
+
+@pytest.mark.parametrize("name", _BASE_SCENARIOS)
+def test_one_point_sweep_fills_the_kind_columns(tmp_path, name):
+    base = yaml.safe_load((SCENARIOS / name).read_text())
+    kind = base["kind"]
+    sweep_yaml = tmp_path / "sweep.yaml"
+    sweep_yaml.write_text(yaml.safe_dump({"kind": "sweep", "parameters": {
+        "parameter": "kind", "values": [kind], "base": base}}))
+    assert main(["sweep", "--scenario", str(sweep_yaml),
+                 "--out", str(tmp_path)]) == 0
+    header, [row] = _read_csv(tmp_path / "sweep.csv")
+    columns = _SUMMARY_COLUMNS[kind]
+    assert header == ["index", "value", "status"] + columns
+    assert row[:3] == ["0", kind, "ok"]
+    filled = {"transmission": ["survival_min", "survival_max"],
+              "schedule-run": ["final_norm"]}.get(
+        base.get("parameters", {}).get("experiment"), columns)
+    assert [column for column, cell in zip(columns, row[3:]) if cell] == filled
+
+
 # ---------------------------------------------------------------------------
 # Determinism and exit codes
 # ---------------------------------------------------------------------------
@@ -431,7 +503,7 @@ def _refuse_compute(monkeypatch, kind):
     def refuse(scenario):
         raise AssertionError(f"an oversized {kind} scenario reached compute")
 
-    monkeypatch.setitem(cli._COMPUTE, kind, refuse)
+    monkeypatch.setitem(cli._KINDS, kind, cli._KINDS[kind]._replace(compute=refuse))
 
 
 def test_rates_table_is_capped_before_allocation(tmp_path, monkeypatch, capsys):
@@ -452,6 +524,57 @@ def test_rates_table_is_capped_before_allocation(tmp_path, monkeypatch, capsys):
     assert main(["rates", "--scenario", str(path), "--out", str(tmp_path)]) == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "regime_map.csv").exists()
+
+
+def _schedule_run(initial, samples, *, atoms=None, segments=1):
+    model = ({"type": "bosonized"} if atoms is None
+             else {"type": "tavis-cummings", "atoms": atoms})
+    return {"kind": "simulate", "model": model,
+            "schedule": {"segments": [{"duration": 1.0}] * segments},
+            "parameters": {"experiment": "schedule-run", "initial": initial,
+                           "samples_per_segment": samples}}
+
+
+def test_schedule_run_sector_bound_matches_enumeration(monkeypatch):
+    for atoms, initial in ((None, [2, 1, 0]), (None, [0, 0, 5]), (1, [3, 0, 1]),
+                           (3, [2, 2, 1]), (4, [1, 0, 2]), (7, [6, 5, 4])):
+        modes = gates.ExchangeModel(atoms=atoms).modes()
+        dim = hilbert.enumerate_basis(modes, sum(initial)).dim
+        monkeypatch.setattr(cli, "MAX_SECTOR_DIM", dim)
+        cli.validate_scenario(_schedule_run(initial, 1, atoms=atoms))
+        monkeypatch.setattr(cli, "MAX_SECTOR_DIM", dim - 1)
+        with pytest.raises(ScenarioError,
+                           match=f"dimension {dim}, more than {dim - 1}"):
+            cli.validate_scenario(_schedule_run(initial, 1, atoms=atoms))
+
+
+def test_schedule_run_is_bounded_before_allocation(tmp_path, monkeypatch,
+                                                   capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an oversized schedule-run reached the basis")
+
+    monkeypatch.setattr(cli, "enumerate_basis", refuse)
+    _refuse_compute(monkeypatch, "simulate")
+    # No sector has dimension exactly 2048: one atom gives 2 * quanta + 1.
+    assert MAX_SECTOR_DIM == 2048
+    cli.validate_scenario(_schedule_run([1023, 0, 0], 1, atoms=1))
+    with pytest.raises(ScenarioError, match="dimension 2049, more than 2048"):
+        cli.validate_scenario(_schedule_run([1024, 0, 0], 1, atoms=1))
+    cli.validate_scenario(_schedule_run([1, 0, 0], MAX_GRID_COUNT))
+    cli.validate_scenario(_schedule_run([1, 0, 0], MAX_GRID_COUNT // 4,
+                                        segments=4))
+    for samples, segments in ((MAX_GRID_COUNT + 1, 1), (2501, 4), (10 ** 9, 3)):
+        message = (f"makes {samples * segments} samples, "
+                   f"more than {MAX_GRID_COUNT}")
+        with pytest.raises(ScenarioError, match=message):
+            cli.validate_scenario(_schedule_run([1, 0, 0], samples,
+                                                segments=segments))
+    path = tmp_path / "huge_run.yaml"
+    path.write_text(yaml.safe_dump(_schedule_run([200, 200, 0], 10 ** 9)))
+    assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path)]) == 1
+    assert ("parameters.initial spans a sector of dimension 80601, more than "
+            "2048") in capsys.readouterr().err
+    assert not (tmp_path / "trajectory.csv").exists()
 
 
 def test_literal_sweep_values_are_capped(tmp_path, monkeypatch, capsys):
