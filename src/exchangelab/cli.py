@@ -39,7 +39,8 @@ from .serialize import ensure_dir, write_csv, write_json
 __all__ = ["ScenarioError", "Scenario", "parse_scenario", "run_scenario", "main"]
 
 #: Largest number of points of a grid or literal value list, of rows of a
-#: ``rates`` table, and of samples of a ``schedule-run`` trajectory.
+#: ``rates`` table, of samples of a ``schedule-run`` trajectory, and of such
+#: rows or samples summed over the points of a sweep.
 MAX_GRID_COUNT = 10_000
 
 #: Largest ``--parallel`` value of a sweep.
@@ -148,6 +149,7 @@ class Scenario:
     preset: Optional[str] = None
     parameters: dict = field(default_factory=dict)
     output: Dict[str, str] = field(default_factory=dict)
+    rows: int = 1   # table rows or trajectory samples one run computes
 
 
 def _parse_model(data: dict) -> gates.ExchangeModel:
@@ -256,6 +258,7 @@ def _parse_simulate(data: dict, scenario: Scenario) -> None:
             "durations": _value_list(params["durations"],
                                      "parameters.durations", minimum=0.0),
         }
+        scenario.rows = len(scenario.parameters["durations"])
         return
     if experiment == "schedule-run":
         _check_keys(params, ("experiment", "initial", "samples_per_segment"),
@@ -286,6 +289,7 @@ def _parse_simulate(data: dict, scenario: Scenario) -> None:
                   f"{count} samples, more than {MAX_GRID_COUNT}")
         scenario.parameters = {"experiment": experiment, "initial": occ,
                                "samples_per_segment": samples}
+        scenario.rows = count
         return
     _fail("parameters.experiment must be transmission or schedule-run, "
           f"got {experiment!r}")
@@ -315,6 +319,7 @@ def _parse_five_pulse(data: dict, scenario: Scenario) -> None:
         "rate": _number(params.get("rate", 1.0), "parameters.rate",
                         strict_min=0.0),
     }
+    scenario.rows = len(scenario.parameters["theta"])
 
 
 def _parse_perturb(data: dict, scenario: Scenario) -> None:
@@ -388,6 +393,7 @@ def _parse_rates(data: dict, scenario: Scenario) -> None:
         _fail(f"parameters.density x parameters.wavenumber makes a table of "
               f"{rows} rows, more than {MAX_GRID_COUNT}")
     scenario.parameters = parsed
+    scenario.rows = rows
 
 
 def _parse_sweep(data: dict, scenario: Scenario) -> None:
@@ -420,7 +426,19 @@ def _parse_sweep(data: dict, scenario: Scenario) -> None:
         points = list(values)
     else:
         points = _value_list(values, "parameters.values")
+    # Each point computes its whole base (every table row, theta or
+    # sample), so the work is bounded summed over the points.
+    total = 0
+    for value in points:
+        try:
+            total += validate_scenario(_point_data(base, keys, value)).rows
+        except ScenarioError:
+            continue    # reported as a validation-error row when run
+        if total > MAX_GRID_COUNT:
+            _fail(f"the sweep points compute at least {total} rows or "
+                  f"samples in total, more than {MAX_GRID_COUNT}")
     scenario.parameters = {"parameter": keys, "values": points, "base": base}
+    scenario.rows = total
 
 
 def validate_scenario(data: dict) -> Scenario:
@@ -645,18 +663,23 @@ _KINDS: Dict[str, _Kind] = {
 KINDS = tuple(_KINDS)
 
 
-def _sweep_point(base: dict, keys: List[str], value,
-                 ) -> Tuple[str, list, Optional[str]]:
-    """Run one sweep point; returns (status, summary cells, error)."""
-    columns = _KINDS[base["kind"]].columns
-    blank = [""] * len(columns)
+def _point_data(base: dict, keys: List[str], value) -> dict:
+    """The scenario document of one sweep point."""
     data = copy.deepcopy(base)
     cursor = data
     for key in keys[:-1]:
         cursor = cursor[key]
     cursor[keys[-1]] = value
+    return data
+
+
+def _sweep_point(base: dict, keys: List[str], value,
+                 ) -> Tuple[str, list, Optional[str]]:
+    """Run one sweep point; returns (status, summary cells, error)."""
+    columns = _KINDS[base["kind"]].columns
+    blank = [""] * len(columns)
     try:
-        point = validate_scenario(data)
+        point = validate_scenario(_point_data(base, keys, value))
     except ScenarioError as exc:
         return "validation-error", blank, f"{type(exc).__name__}: {exc}"
     try:

@@ -9,9 +9,12 @@ Complex numbers are serialized as two-element [re, im] arrays.
 from __future__ import annotations
 
 import os
-from typing import Iterable, Sequence
+from typing import Iterable, List, Sequence
 
-__all__ = ["format_float", "dumps_json", "write_json", "write_csv"]
+import numpy as np
+
+__all__ = ["format_float", "format_floats", "dumps_json", "write_json",
+           "write_csv"]
 
 
 def format_float(value: float) -> str:
@@ -21,6 +24,19 @@ def format_float(value: float) -> str:
     text = format(value, ".17g")
     # Normalize "-0" so payload bytes do not depend on rounding direction.
     return "0" if text == "-0" else text
+
+
+def format_floats(values) -> List[str]:
+    """:func:`format_float` of every entry of a float array, flattened.
+
+    Finiteness is checked once for the whole array, and adding ``+0.0``
+    turns ``-0.0`` (the only value rendered ``-0``) into ``0.0``, so each
+    entry costs one formatting step and renders the same text.
+    """
+    values = np.asarray(values, dtype=float) + 0.0
+    if not np.isfinite(values).all():
+        raise ValueError("cannot serialize non-finite float")
+    return [f"{v:.17g}" for v in values.ravel().tolist()]
 
 
 def _escape(text: str) -> str:
@@ -116,11 +132,14 @@ def _cell(value) -> str:
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
+    write_csv_lines(path, header, [",".join(_cell(v) for v in row)
+                                   for row in rows])
+
+
+def write_csv_lines(path, header: Sequence[str], lines: Iterable[str]) -> None:
+    """Write a CSV whose data lines are already rendered."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join([",".join(header), *lines]) + "\n")
 
 
 def ensure_dir(path) -> None:

@@ -13,10 +13,11 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from exchangelab.dynamics import PulseSegment
+from exchangelab.dynamics import PulseSegment, Trajectory
 from exchangelab.gates import ExchangeModel
 from exchangelab.perturbation import (CollisionModelParams, PerturbationProblem,
                                       WidthRule)
+from exchangelab.serialize import write_csv
 
 
 def series_propagator(matrix: np.ndarray, t: float) -> np.ndarray:
@@ -40,6 +41,21 @@ def series_propagator(matrix: np.ndarray, t: float) -> np.ndarray:
     for _ in range(squarings):
         result = result @ result
     return result
+
+
+def rowwise_trajectory_csv(trajectory: Trajectory, path) -> None:
+    """Write a trajectory CSV one row at a time through the generic writer.
+
+    Every cell goes through ``serialize.write_csv``'s per-cell formatting;
+    the package's columnar writer must produce the same bytes.
+    """
+    norms = trajectory.norms
+    rows = []
+    for i, t in enumerate(trajectory.times):
+        for j in range(trajectory.basis.dim):
+            amp = trajectory.states[i, j]
+            rows.append([float(t), j, amp.real, amp.imag, float(norms[i])])
+    write_csv(path, ["time", "state_index", "re", "im", "norm"], rows)
 
 
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -592,6 +592,49 @@ def test_literal_sweep_values_are_capped(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "perturb_width.csv").exists()
 
 
+def test_sweep_work_is_capped_before_compute(tmp_path, monkeypatch, capsys):
+    # Every point computes its base's whole table, theta grid or trajectory,
+    # so the rows or samples are capped summed over the points.
+    for kind in ("rates", "five-pulse", "simulate"):
+        _refuse_compute(monkeypatch, kind)
+
+    def sweep(name, parameter, values, **grid):
+        base = yaml.safe_load((SCENARIOS / name).read_text())
+        for key, spec in grid.items():
+            base["parameters"][key] = spec
+        return {"kind": "sweep", "parameters": {
+            "parameter": parameter, "values": values, "base": base}}
+
+    table = {"start": 1e23, "stop": 1e25, "count": 100}
+    full = sweep("rates_high_density.yaml", "parameters.omega",
+                 [2.4e15] * 100 + [-1.0], density=table)
+    # the invalid last point computes nothing and is not counted
+    assert cli.validate_scenario(full).rows == MAX_GRID_COUNT
+    theta = {"start": 0.0, "stop": 1.0, "count": 5000}
+    durations = {"start": 0.0, "stop": 1.0, "count": MAX_GRID_COUNT}
+    oversized = [
+        (sweep("rates_high_density.yaml", "parameters.omega", [2.4e15] * 101,
+               density=table), 10100),
+        (sweep("five_pulse.yaml", "parameters.rate", [1.0, 2.0, 3.0],
+               theta=theta), 15000),
+        (sweep("transmission.yaml", "parameters.rate", [1.0, 2.0],
+               durations=durations), 2 * MAX_GRID_COUNT),
+        # two segments; the samples per point come from the swept value
+        (sweep("schedule_run.yaml", "parameters.samples_per_segment",
+               [1, MAX_GRID_COUNT // 2]), 2 + MAX_GRID_COUNT),
+    ]
+    for data, total in oversized:
+        message = (f"compute at least {total} rows or samples in total, "
+                   f"more than {MAX_GRID_COUNT}")
+        with pytest.raises(ScenarioError, match=message):
+            cli.validate_scenario(data)
+    path = tmp_path / "wide_sweep.yaml"
+    path.write_text(yaml.safe_dump(oversized[0][0]))
+    assert main(["sweep", "--scenario", str(path), "--out", str(tmp_path)]) == 1
+    assert "compute at least 10100 rows or samples" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_missing_scenario_file_exits_1(tmp_path, capsys):
     code = main(["gate", "--scenario", str(tmp_path / "nope.yaml"),
                  "--out", str(tmp_path)])

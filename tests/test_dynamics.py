@@ -29,7 +29,7 @@ from exchangelab.hilbert import (
     total_quanta_operator,
 )
 
-from oracles import random_hermitian, series_propagator
+from oracles import random_hermitian, rowwise_trajectory_csv, series_propagator
 
 
 def _beamsplitter_basis():
@@ -230,6 +230,118 @@ def test_trajectory_csv(tmp_path):
     assert norms[-1] < 1.0
 
 
+def _mixed_schedule(rng, lossy):
+    """Coupled, detuned segments (every second one damped when lossy),
+    plus a zero-duration segment."""
+    pairs = [("photon_1", "collective"), ("photon_2", "collective"),
+             ("photon_1", "photon_2")]
+    schedule = []
+    for i, pair in enumerate(pairs):
+        schedule.append(PulseSegment(
+            duration=float(rng.uniform(0.5, 1.5)),
+            coupling=(*pair, float(rng.uniform(0.5, 1.5))),
+            detunings={"photon_1": float(rng.uniform(-1, 1)),
+                       "collective": float(rng.uniform(-1, 1))},
+            widths=({"collective": 0.2, "photon_2": 0.05}
+                    if lossy and i % 2 == 0 else {})))
+    schedule.insert(1, PulseSegment(duration=0.0, coupling=pairs[0][:2] + (1.0,)))
+    return schedule
+
+
+def test_lossless_samples_equal_per_sample_evolution():
+    # The definition: each sample propagated by its own evolve_segment call
+    # from the segment start.  Sharing one eigh per segment keeps the bytes.
+    rng = np.random.default_rng(5)
+    for atoms, initial, samples in ((None, (1, 1, 0), 7), (3, (2, 1, 1), 16),
+                                    (None, (3, 2, 2), 1)):
+        model = ExchangeModel(atoms=atoms)
+        basis = model.basis(sum(initial))
+        schedule = _mixed_schedule(rng, lossy=False)
+        traj = run_schedule(schedule, basis, initial, samples_per_segment=samples)
+        state = basis.state_vector(initial)
+        times, states, t0 = [0.0], [state], 0.0
+        for segment in schedule:
+            gen = segment_hamiltonian(basis, segment)
+            for j in range(1, samples + 1):
+                dt = segment.duration * j / samples
+                times.append(t0 + dt)
+                states.append(evolve_segment(gen, state, dt))
+            state = states[-1]
+            t0 += segment.duration
+        assert traj.times.tobytes() == np.array(times).tobytes()
+        assert traj.states.tobytes() == np.array(states).tobytes()
+
+
+def test_lossy_samples_are_stepped_within_1e_12():
+    from scipy.linalg import expm
+
+    from exchangelab.cli import MAX_GRID_COUNT
+
+    model = ExchangeModel()
+    basis = model.basis(1)
+    segment = PulseSegment(duration=3.0, coupling=("photon_1", "collective", 1.3),
+                           detunings={"collective": 0.4},
+                           widths={"collective": 0.3, "photon_1": 0.1})
+    initial = basis.state_vector((1, 0, 0))
+    traj = run_schedule([segment], basis, initial,
+                        samples_per_segment=MAX_GRID_COUNT)
+    h = segment_hamiltonian(basis, segment).matrix
+    for j, state in enumerate(traj.states[1:], start=1):
+        dt = segment.duration * j / MAX_GRID_COUNT
+        assert np.max(np.abs(state - expm(-1j * h * dt) @ initial)) < 1e-12
+    assert traj.states[-1] == pytest.approx(
+        series_propagator(h, segment.duration) @ initial, abs=1e-12)
+
+
+def test_one_factorisation_per_segment(monkeypatch):
+    import scipy.linalg
+
+    calls = {"eigh": 0, "expm": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+    monkeypatch.setattr(scipy.linalg, "expm",
+                        counting("expm", scipy.linalg.expm))
+    basis = ExchangeModel().basis(2)
+    # segments 0 and 3 are damped, 2 is lossless, 1 has zero duration
+    schedule = _mixed_schedule(np.random.default_rng(2), lossy=True)
+    run_schedule(schedule, basis, (1, 1, 0), samples_per_segment=50)
+    assert calls == {"eigh": 1, "expm": 2}
+    calls.update(eigh=0, expm=0)
+    transmission_scan(0.8, np.linspace(0.0, 10.0, 200))
+    assert calls == {"eigh": 1, "expm": 0}
+    calls.update(eigh=0, expm=0)
+    phase_vs_loss(rate=1.0, detuning=0.5, width=0.2, duration=30.0)
+    assert calls == {"eigh": 0, "expm": 1}
+
+
+def test_columnar_csv_matches_rowwise_writer(tmp_path):
+    rng = np.random.default_rng(9)
+    basis = ExchangeModel(atoms=2).basis(3)
+    for lossy in (False, True):
+        traj = run_schedule(_mixed_schedule(rng, lossy), basis, (1, 1, 1),
+                            samples_per_segment=5)
+        # signed zeros and extreme magnitudes, which the formatter normalises
+        traj.states[2, 0] = complex(-0.0, -0.0)
+        traj.states[2, 1] = complex(-1e-300, 5e-324)
+        traj.states[3, 2] = complex(1.5e150, -0.0)
+        traj.states[4, 3] = complex(-0.0, 0.0)
+        new, old = tmp_path / f"new{lossy}.csv", tmp_path / f"old{lossy}.csv"
+        traj.to_csv(new)
+        rowwise_trajectory_csv(traj, old)
+        assert new.read_bytes() == old.read_bytes()
+        assert ",-0," not in new.read_text()
+    for bad in (complex(float("nan"), 0.0), complex(0.0, float("inf"))):
+        traj.states[1, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            traj.to_csv(tmp_path / "bad.csv")
+
+
 def test_empty_schedule_returns_initial():
     model = ExchangeModel()
     basis = model.basis(1)
@@ -332,6 +444,28 @@ def test_phase_to_loss_ratio_approaches_half_detuning_over_width():
         deviations.append(abs(phase / loss - delta / (2 * width)) / (delta / (2 * width)))
     assert deviations[1] < deviations[0]
     assert deviations[1] < 0.05
+
+
+def test_phase_vs_loss_at_the_exceptional_point():
+    # Detuning 0 and width 2g make the two eigenvectors of [[0, g], [g, -2ig]]
+    # coalesce; the answer must still match a 40-digit matrix exponential.
+    import mpmath
+
+    for g in (0.2, 0.7, 1.0, 2.5):
+        for gt in (0.1, 0.5, 1.0, 2.0, 5.0, 10.0):
+            duration = gt / g
+            with mpmath.workdps(40):
+                gm = mpmath.mpf(g)
+                u = mpmath.expm(-1j * mpmath.matrix([[0, gm], [gm, -2j * gm]])
+                                * mpmath.mpf(duration))
+                amp = u[0, 0]
+                want_loss = float(1 - abs(amp) ** 2 - abs(u[1, 0]) ** 2)
+                want_phase, modulus = float(mpmath.arg(amp)), float(abs(amp))
+            phase, loss = phase_vs_loss(rate=g, detuning=0.0, width=2.0 * g,
+                                        duration=duration)
+            assert abs(loss - want_loss) < 1e-12
+            slip = math.remainder(phase - want_phase, 2 * math.pi)
+            assert modulus * abs(slip) < 1e-12
 
 
 def test_phase_vs_loss_validation():
