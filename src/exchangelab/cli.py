@@ -21,7 +21,6 @@ import argparse
 import copy
 import difflib
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -43,7 +42,8 @@ __all__ = ["ScenarioError", "Scenario", "parse_scenario", "run_scenario", "main"
 #: rows or samples summed over the points of a sweep.
 MAX_GRID_COUNT = 10_000
 
-#: Largest ``--parallel`` value of a sweep.
+#: Largest ``--parallel`` value of a sweep.  The flag is accepted for
+#: compatibility only: sweep points run in order on the calling thread.
 MAX_PARALLEL = 64
 
 #: Largest sector dimension of a ``schedule-run`` model.
@@ -411,7 +411,7 @@ def _parse_sweep(data: dict, scenario: Scenario) -> None:
     validate_scenario(base)  # fail fast on an invalid base
     cursor = base
     keys = path.split(".")
-    for i, key in enumerate(keys[:-1]):
+    for key in keys[:-1]:
         cursor = cursor.get(key)
         if not isinstance(cursor, dict):
             _fail(f"parameters.parameter {path!r} does not resolve at {key!r}")
@@ -426,18 +426,23 @@ def _parse_sweep(data: dict, scenario: Scenario) -> None:
         points = list(values)
     else:
         points = _value_list(values, "parameters.values")
-    # Each point computes its whole base (every table row, theta or
-    # sample), so the work is bounded summed over the points.
+    # Each point is validated once, here: the run walks these points.  A
+    # point computes its whole base (every table row, theta or sample), so
+    # the work is bounded summed over the points.
+    validated = []
     total = 0
     for value in points:
         try:
-            total += validate_scenario(_point_data(base, keys, value)).rows
-        except ScenarioError:
+            point = validate_scenario(_point_data(base, keys, value))
+        except ScenarioError as exc:
+            validated.append((value, f"{type(exc).__name__}: {exc}"))
             continue    # reported as a validation-error row when run
+        validated.append((value, point))
+        total += point.rows
         if total > MAX_GRID_COUNT:
             _fail(f"the sweep points compute at least {total} rows or "
                   f"samples in total, more than {MAX_GRID_COUNT}")
-    scenario.parameters = {"parameter": keys, "values": points, "base": base}
+    scenario.parameters = {"parameter": keys, "base": base, "points": validated}
     scenario.rows = total
 
 
@@ -673,15 +678,13 @@ def _point_data(base: dict, keys: List[str], value) -> dict:
     return data
 
 
-def _sweep_point(base: dict, keys: List[str], value,
+def _sweep_point(point: Scenario | str, columns: Tuple[str, ...],
                  ) -> Tuple[str, list, Optional[str]]:
-    """Run one sweep point; returns (status, summary cells, error)."""
-    columns = _KINDS[base["kind"]].columns
+    """Run one validated sweep point, or pass on its validation error;
+    returns (status, summary cells, error)."""
     blank = [""] * len(columns)
-    try:
-        point = validate_scenario(_point_data(base, keys, value))
-    except ScenarioError as exc:
-        return "validation-error", blank, f"{type(exc).__name__}: {exc}"
+    if isinstance(point, str):
+        return "validation-error", blank, point
     try:
         result = _KINDS[point.kind].compute(point)
     except (SingularityError, NoDynamicsError, ValueError) as exc:
@@ -689,40 +692,33 @@ def _sweep_point(base: dict, keys: List[str], value,
     return "ok", [result.get(column, "") for column in columns], None
 
 
-def _run_sweep(scenario: Scenario, out_dir: Path,
-               parallelism: int) -> Tuple[int, List[dict]]:
-    """Run and tabulate a sweep; returns (exit code, failed points)."""
-    params = scenario.parameters
-    base = params["base"]
-    keys = params["parameter"]
-    values = params["values"]
-    columns = _KINDS[base["kind"]].columns
-    with ThreadPoolExecutor(max_workers=min(parallelism, len(values))) as pool:
-        outcomes = list(pool.map(
-            lambda value: _sweep_point(base, keys, value), values))
+def _run_sweep(scenario: Scenario, out_dir: Path) -> Tuple[int, List[dict]]:
+    """Run and tabulate a sweep in point order; returns (exit code, failed
+    points)."""
+    columns = _KINDS[scenario.parameters["base"]["kind"]].columns
     rows = []
     failures = []
-    for index, (value, (status, cells, error)) in enumerate(
-            zip(values, outcomes)):
+    for index, (value, point) in enumerate(scenario.parameters["points"]):
+        status, cells, error = _sweep_point(point, columns)
         rows.append([index, value, status] + cells)
         if status != "ok":
             failures.append({"index": index, "status": status, "error": error})
     write_csv(out_dir / scenario.output["table"],
               ["index", "value", "status", *columns], rows)
-    statuses = [status for status, _, _ in outcomes]
+    statuses = {row[2] for row in rows}
     if "ok" in statuses:
         return 0, failures
     return (2 if "numerical-error" in statuses else 1), failures
 
 
-def run_scenario(scenario: Scenario, out_dir, parallelism: int = 1) -> int:
+def run_scenario(scenario: Scenario, out_dir) -> int:
     """Execute a validated scenario, writing artifacts into out_dir."""
     out_dir = Path(out_dir)
     ensure_dir(out_dir)
     meta = {"schema_version": 1, "kind": scenario.kind}
     entry = _KINDS[scenario.kind]
     if entry.compute is None:
-        code, meta["failed_points"] = _run_sweep(scenario, out_dir, parallelism)
+        code, meta["failed_points"] = _run_sweep(scenario, out_dir)
     else:
         entry.emit(entry.compute(scenario), scenario, out_dir)
         code = 0
@@ -744,8 +740,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                          help="output directory (default: current)")
         if _KINDS[command].compute is None:
             cmd.add_argument("--parallel", type=int, default=1,
-                             help="concurrent sweep points, 1 to "
-                                  f"{MAX_PARALLEL} (default 1)")
+                             help=f"accepted, 1 to {MAX_PARALLEL} (default 1); "
+                                  "points run in order, so it changes "
+                                  "neither results nor speed")
     args = parser.parse_args(argv)
     parallel = getattr(args, "parallel", 1)
     if not 1 <= parallel <= MAX_PARALLEL:
@@ -768,7 +765,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        return run_scenario(scenario, args.out, parallelism=parallel)
+        return run_scenario(scenario, args.out)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

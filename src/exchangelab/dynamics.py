@@ -44,6 +44,10 @@ __all__ = [
     "phase_vs_loss",
 ]
 
+#: Largest sample grid of :func:`phase_vs_loss` (~32 MB of two-state
+#: amplitudes).
+MAX_PHASE_SAMPLES = 1_000_000
+
 
 class NoDynamicsError(RuntimeError):
     """Raised when a probe finds no oscillation to measure."""
@@ -385,7 +389,9 @@ def phase_vs_loss(rate: float, detuning: float, width: float,
     The amplitudes come from the segment propagator; with w > 0 that is
     one ``expm`` of the sample step, applied once per sample, which stays
     accurate at the exceptional point detuning = 0, w = 2 g, where the two
-    eigenvectors of the generator coalesce.
+    eigenvectors of the generator coalesce.  A grid of more than
+    ``MAX_PHASE_SAMPLES`` samples is refused with ``ValueError`` before
+    anything is allocated.
     """
     for name, val in (("rate", rate), ("detuning", detuning),
                       ("width", width), ("duration", duration)):
@@ -397,6 +403,15 @@ def phase_vs_loss(rate: float, detuning: float, width: float,
         raise ValueError("duration must be non-negative")
     if rate == 0.0 or duration == 0.0:
         return 0.0, 0.0
+    # Sample densely enough that the survival-amplitude phase never
+    # advances by more than ~pi/4 between samples, then unwrap.
+    scale = abs(detuning) + abs(width) + 2.0 * abs(rate)
+    steps = 8.0 * scale * duration / math.pi
+    if steps > MAX_PHASE_SAMPLES:
+        raise ValueError(f"phase_vs_loss needs {steps:.3g} samples at this "
+                         f"rate, detuning, width and duration, more than "
+                         f"{MAX_PHASE_SAMPLES}")
+    n_samples = max(64, int(math.ceil(steps)))
 
     basis = _two_state_basis()
     segment = PulseSegment(
@@ -408,11 +423,6 @@ def phase_vs_loss(rate: float, detuning: float, width: float,
     gen = segment_hamiltonian(basis, segment)
     photon = basis.state_vector((1, 0))
     photon_idx = basis.index((1, 0))
-
-    # Sample densely enough that the survival-amplitude phase never
-    # advances by more than ~pi/4 between samples, then unwrap.
-    scale = abs(detuning) + abs(width) + 2.0 * abs(rate)
-    n_samples = max(64, int(math.ceil(8.0 * scale * duration / math.pi)))
     states = _evolve_grid(gen, photon, duration, n_samples)
     angles = np.angle(states[:, photon_idx])
     phase = float(np.unwrap(np.concatenate(([0.0], angles)))[-1])

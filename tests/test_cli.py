@@ -2,6 +2,7 @@
 
 import json
 import math
+import threading
 from pathlib import Path
 from textwrap import dedent
 
@@ -450,10 +451,7 @@ def test_grid_count_is_capped_before_allocation(tmp_path, monkeypatch, capsys):
 
 
 def test_parallel_is_capped_before_threads_start(tmp_path, monkeypatch, capsys):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a thread pool was started")
-
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", refuse)
+    _refuse_compute(monkeypatch, "perturb")
     scenario = str(SCENARIOS / "sweep_perturb_width.yaml")
     for value in (MAX_PARALLEL + 1, 10 ** 9, 0):
         code = main(["sweep", "--scenario", scenario, "--out", str(tmp_path),
@@ -466,37 +464,61 @@ def test_parallel_is_capped_before_threads_start(tmp_path, monkeypatch, capsys):
                  "--parallel", str(MAX_PARALLEL)]) == 0
 
 
-def test_sweep_pool_is_sized_by_the_points(tmp_path, monkeypatch):
-    scenario = tmp_path / "two.yaml"
-    scenario.write_text(dedent("""
-        kind: sweep
+_TWO_POINT_SWEEP = dedent("""
+    kind: sweep
+    parameters:
+      parameter: parameters.rule.width
+      values: [0.0, 0.01]
+      base:
+        kind: perturb
         parameters:
-          parameter: parameters.rule.width
-          values: [0.0, 0.01]
-          base:
-            kind: perturb
-            parameters:
-              coupling: 0.05
-              atoms: 2
-              delta_1: 1.0
-              delta_2: 0.9
-              rule: {selector: exchanged-photon-ground-states, width: 0.0}
-    """))
-    requested = []
-    real_pool = cli.ThreadPoolExecutor
+          coupling: 0.05
+          atoms: 2
+          delta_1: 1.0
+          delta_2: 0.9
+          rule: {selector: exchanged-photon-ground-states, width: 0.005}
+""")
 
-    def recording_pool(max_workers):
-        requested.append(max_workers)
-        return real_pool(max_workers=max_workers)
 
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", recording_pool)
+def test_sweep_runs_in_order_without_threads(tmp_path, monkeypatch):
+    def refuse(self):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    scenario = tmp_path / "two.yaml"
+    scenario.write_text(_TWO_POINT_SWEEP)
     for parallel in ("64", "1"):
         assert main(["sweep", "--scenario", str(scenario),
                      "--out", str(tmp_path / parallel),
                      "--parallel", parallel]) == 0
-    assert requested == [2, 1]
     assert ((tmp_path / "64" / "sweep.csv").read_bytes()
             == (tmp_path / "1" / "sweep.csv").read_bytes())
+
+
+def test_each_sweep_point_is_validated_once(tmp_path, monkeypatch):
+    widths = []
+    real_validate = cli.validate_scenario
+
+    def counting_validate(data):
+        if data.get("kind") == "perturb":
+            widths.append(data["parameters"]["rule"]["width"])
+        return real_validate(data)
+
+    monkeypatch.setattr(cli, "validate_scenario", counting_validate)
+    text = _TWO_POINT_SWEEP.replace("[0.0, 0.01]", "[0.0, -1.0, 0.01]")
+    scenario = parse_scenario(text)
+    assert widths == [0.005, 0.0, -1.0, 0.01]    # the base, then each point
+    widths.clear()
+    assert cli.run_scenario(scenario, tmp_path / "run") == 0
+    assert widths == []
+    # and once in total over a whole CLI run
+    path = tmp_path / "three.yaml"
+    path.write_text(text)
+    assert main(["sweep", "--scenario", str(path),
+                 "--out", str(tmp_path / "main")]) == 0
+    assert widths == [0.005, 0.0, -1.0, 0.01]
+    _, rows = _read_csv(tmp_path / "main" / "sweep.csv")
+    assert [row[2] for row in rows] == ["ok", "validation-error", "ok"]
 
 
 def _refuse_compute(monkeypatch, kind):

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from exchangelab import dynamics
 from exchangelab.dynamics import (
+    MAX_PHASE_SAMPLES,
     NoDynamicsError,
     PulseSegment,
     Trajectory,
@@ -473,3 +475,26 @@ def test_phase_vs_loss_validation():
         phase_vs_loss(rate=1.0, detuning=1.0, width=-0.1, duration=1.0)
     with pytest.raises(ValueError):
         phase_vs_loss(rate=1.0, detuning=1.0, width=0.1, duration=-1.0)
+
+
+def test_phase_vs_loss_grid_is_capped_before_allocation(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an oversized phase grid reached _evolve_grid")
+
+    monkeypatch.setattr(dynamics, "_evolve_grid", refuse)
+    # 8 * (1e6 + 2) * 1e3 / pi ~ 2.5e9 samples
+    with pytest.raises(ValueError, match=f"more than {MAX_PHASE_SAMPLES}"):
+        phase_vs_loss(rate=1.0, detuning=1e6, width=0.0, duration=1e3)
+    # an overflowing grid fails the same way
+    with pytest.raises(ValueError, match=f"more than {MAX_PHASE_SAMPLES}"):
+        phase_vs_loss(rate=1e300, detuning=0.0, width=0.0, duration=1e300)
+    monkeypatch.undo()
+    # the bound is inclusive: with the cap lowered to 128, a 128-step grid
+    # runs and a 129-step one is refused
+    monkeypatch.setattr(dynamics, "MAX_PHASE_SAMPLES", 128)
+    phase, loss = phase_vs_loss(rate=1.0, detuning=0.0, width=0.0,
+                                duration=128 * math.pi / 16.0)
+    assert abs(loss) < 1e-12
+    with pytest.raises(ValueError, match="more than 128"):
+        phase_vs_loss(rate=1.0, detuning=0.0, width=0.0,
+                      duration=129 * math.pi / 16.0)

@@ -1,4 +1,5 @@
-"""Import-weight guard: scipy loads only on the paths that use it.
+"""Import-weight guard: scipy loads only on the paths that use it, and
+``concurrent.futures`` on none (sweep points run in order).
 
 Each check runs in a fresh interpreter, since the test process itself has
 long since imported scipy through other tests.
@@ -25,7 +26,9 @@ for path in sorted(Path(sys.argv[1]).glob("*.yaml")):
     codes[path.name] = cli.main([kind, "--scenario", str(path),
                                  "--out", str(Path(sys.argv[2]) / path.stem)])
 print(json.dumps({"codes": codes,
-                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+                  "concurrent": sorted(m for m in sys.modules
+                                       if m.split(".")[0] == "concurrent")}))
 """
 
 _LOSSY_RUN = """
@@ -64,6 +67,7 @@ def test_package_and_documented_scenarios_load_no_scipy(tmp_path):
     assert len(out["codes"]) == len(list((ROOT / "scenarios").glob("*.yaml")))
     assert set(out["codes"].values()) == {0}
     assert out["scipy"] == []
+    assert out["concurrent"] == []
 
 
 def test_lossy_segment_loads_scipy_linalg(tmp_path):
