@@ -12,7 +12,8 @@ payload files; the wall-clock timestamp lives in a ``run.meta.json``
 sidecar instead.
 
 Exit codes: 0 success, 1 validation error, 2 numerical failure
-(degenerate perturbation denominator, no detectable oscillation).
+(degenerate perturbation denominator, no detectable oscillation, a
+result outside the range of a double).
 """
 
 from __future__ import annotations
@@ -49,6 +50,17 @@ MAX_PARALLEL = 64
 #: Largest sector dimension of a ``schedule-run`` model.
 MAX_SECTOR_DIM = 2048
 
+#: Largest ``atoms`` of a ``perturb`` scenario: far above paper-scale
+#: clouds, and far enough inside int64 that the symmetric-sector member
+#: counts cannot overflow.
+MAX_ATOMS = 10**15
+
+#: What computing a validated scenario may raise on awkward numbers: a
+#: degenerate denominator, no oscillation to measure, or an overflow or
+#: division that leaves the range of a double.
+_NUMERICAL_ERRORS = (SingularityError, NoDynamicsError, ValueError,
+                     ArithmeticError)
+
 _META = "run.meta.json"
 
 
@@ -78,7 +90,10 @@ def _number(value, context: str, *, minimum=None, strict_min=None,
             allow_zero=True) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(f"{context} must be a number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        _fail(f"{context} must be finite, got an integer too large for a float")
     if not np.isfinite(value):
         _fail(f"{context} must be finite, got {value!r}")
     if minimum is not None and value < minimum:
@@ -339,7 +354,8 @@ def _parse_perturb(data: dict, scenario: Scenario) -> None:
     kwargs = {
         "coupling": _number(params["coupling"], "parameters.coupling",
                             allow_zero=False),
-        "atoms": _integer(params["atoms"], "parameters.atoms", minimum=2),
+        "atoms": _integer(params["atoms"], "parameters.atoms", minimum=2,
+                          maximum=MAX_ATOMS),
         "delta_1": _number(params["delta_1"], "parameters.delta_1",
                            allow_zero=False),
         "delta_2": _number(params["delta_2"], "parameters.delta_2",
@@ -466,7 +482,8 @@ def parse_scenario(text: str) -> Scenario:
     """Parse and validate a YAML scenario document."""
     try:
         data = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:
+        # ValueError: an integer literal past Python's integer-string limit
         raise ScenarioError(f"invalid YAML: {exc}") from exc
     return validate_scenario(data)
 
@@ -687,7 +704,7 @@ def _sweep_point(point: Scenario | str, columns: Tuple[str, ...],
         return "validation-error", blank, point
     try:
         result = _KINDS[point.kind].compute(point)
-    except (SingularityError, NoDynamicsError, ValueError) as exc:
+    except _NUMERICAL_ERRORS as exc:
         return "numerical-error", blank, f"{type(exc).__name__}: {exc}"
     return "ok", [result.get(column, "") for column in columns], None
 
@@ -769,7 +786,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (SingularityError, NoDynamicsError) as exc:
+    except _NUMERICAL_ERRORS as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 2
 

@@ -276,24 +276,31 @@ def final_state(schedule: Sequence[PulseSegment], basis: HilbertBasis,
     return state
 
 
-# Return-probability threshold below which the state counts as having
-# genuinely left the initial state (guards against counting t=0 twice).
+# Smallest dip 1 - P of the survival probability that counts as the state
+# having left the initial state.
 _DIP_THRESHOLD = 1e-6
 
+#: Whole base periods 2 pi / spread searched for the first revival.
+_HORIZON_PERIODS = 64
 
-def rabi_frequency(generator: OperatorMatrix, initial,
-                   horizon_cycles: int = 64) -> float:
+
+def rabi_frequency(generator: OperatorMatrix, initial) -> float:
     """Angular frequency of the return-probability oscillation.
 
-    The survival probability P(t) = |<psi0| exp(-i H t) |psi0>|^2 is
-    scanned for its first full revival; the returned frequency is
-    2 pi / t_revival.  The revival time is located to better than 1e-9
-    in the natural time units of the generator.
+    The survival probability P(t) = |<psi0| exp(-i H t) |psi0>|^2 returns
+    to 1 only when the phases of all eigenvalues the initial state
+    occupies wrap together, so a revival needs (E_max - E_min) t to be a
+    whole multiple of 2 pi.  The first revival is therefore the smallest
+    whole number m of base periods 2 pi / spread, m = 1 .. 64, at which
+    1 - P < 1e-9, and the returned frequency 2 pi / t_revival is
+    spread / m, exact up to the rounding of the eigenvalues.
 
     Raises
     ------
     NoDynamicsError
-        If P never leaves 1 or never returns within the scan horizon.
+        If P cannot leave 1 (no spread among the occupied levels, or too
+        little weight off the dominant one) or never returns within 64
+        base periods.
     """
     if not generator.hermitian:
         raise ValueError("rabi_frequency expects a Hermitian generator")
@@ -306,38 +313,24 @@ def rabi_frequency(generator: OperatorMatrix, initial,
     evals, evecs = np.linalg.eigh(generator.matrix)
     weights = np.abs(evecs.conj().T @ psi0) ** 2
     active = weights > 1e-14
-    spread = float(evals[active].max() - evals[active].min()) if active.any() else 0.0
-    if spread <= 0.0:
+    evals, weights = evals[active], weights[active]
+    spread = float(evals.max() - evals.min()) if active.any() else 0.0
+    # |<psi0|psi(t)>| >= 2 w_max - 1, so a dominant weight w_max caps the
+    # dip of P at 4 w_max (1 - w_max).
+    w_max = weights.max(initial=0.0)
+    if spread <= 0.0 or 4.0 * w_max * (1.0 - w_max) <= _DIP_THRESHOLD:
         raise NoDynamicsError("survival probability does not oscillate")
 
-    def survival(t):
-        return abs(np.sum(weights * np.exp(-1j * evals * t))) ** 2
-
-    base_period = 2.0 * math.pi / spread
-    dt = base_period / 128.0
-    horizon = horizon_cycles * base_period
-
-    from scipy.optimize import minimize_scalar
-
-    dipped = False
-    t = dt
-    while t <= horizon:
-        p = survival(t)
-        if not dipped:
-            if 1.0 - p > _DIP_THRESHOLD:
-                dipped = True
-        elif p > survival(t - dt) and p > survival(t + dt):
-            res = minimize_scalar(
-                lambda x: -survival(x), bounds=(t - dt, t + dt),
-                method="bounded", options={"xatol": 1e-13 * base_period},
-            )
-            t_star = float(res.x)
-            if 1.0 - survival(t_star) < 1e-9:
-                return 2.0 * math.pi / t_star
-        t += dt
-    raise NoDynamicsError(
-        "no revival of the survival probability within the scan horizon"
-    )
+    periods = np.arange(1, _HORIZON_PERIODS + 1)
+    times = periods * (2.0 * math.pi / spread)
+    phases = np.outer(times, evals - evals.min())
+    survival = np.abs(np.exp(-1j * phases) @ weights) ** 2
+    revived = np.flatnonzero(1.0 - survival < 1e-9)
+    if revived.size == 0:
+        raise NoDynamicsError(
+            "no revival of the survival probability within the scan horizon"
+        )
+    return spread / float(periods[revived[0]])
 
 
 def _two_state_basis():

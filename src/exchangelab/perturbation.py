@@ -27,12 +27,13 @@ fourth order is exact on the symmetric states (m1, m2, k), k being the
 number of excited atoms, coupled by the sqrt(N) M and sqrt((N - k)(k + 1))
 Dicke ladder.  At most eight of them lie within two V steps of the
 reference whatever N and the photon numbers are, and only those are
-built, so a fit costs the same for two atoms as for a million.  The path diagnostics (``basis_size``, ``path_terms``,
-``renormalization_terms``, ``max_path_term``) and
-:attr:`CrossFit.path_scale` still describe the atom-labelled levels, one
-per set of excited atoms: a symmetric state with k excited atoms stands
-for C(N, k) of them, and a single labelled path term is the symmetric
-one with each element divided by its collective factor.
+built, so a fit costs the same for two atoms as for a million.  The path
+diagnostics (``basis_size``, ``path_terms``, ``renormalization_terms``,
+``max_path_term``) and :attr:`CrossFit.path_scale` still describe the
+atom-labelled levels, one per set of excited atoms: a symmetric state
+with k excited atoms stands for C(N, k) of them, and a single labelled
+path term is the symmetric one with each element divided by its
+collective factor.
 """
 
 from __future__ import annotations
@@ -301,7 +302,6 @@ class PerturbationResult:
 
     orders: Mapping[int, complex]
     diagnostics: Dict[str, object] = field(default_factory=dict)
-    cross_coefficient: Optional[complex] = None
 
     def order(self, k: int) -> complex:
         return self.orders[k]

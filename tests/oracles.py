@@ -13,8 +13,10 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from exchangelab.dynamics import PulseSegment, Trajectory
+from exchangelab.dynamics import (NoDynamicsError, PulseSegment, Trajectory,
+                                  _as_vector)
 from exchangelab.gates import ExchangeModel
+from exchangelab.hilbert import OperatorMatrix
 from exchangelab.perturbation import (CollisionModelParams, PerturbationProblem,
                                       WidthRule)
 from exchangelab.serialize import write_csv
@@ -56,6 +58,73 @@ def rowwise_trajectory_csv(trajectory: Trajectory, path) -> None:
             amp = trajectory.states[i, j]
             rows.append([float(t), j, amp.real, amp.imag, float(norms[i])])
     write_csv(path, ["time", "state_index", "re", "im", "norm"], rows)
+
+
+# Return-probability threshold below which the state counts as having
+# genuinely left the initial state (guards against counting t=0 twice).
+_DIP_THRESHOLD = 1e-6
+
+
+def scanning_rabi_frequency(generator: OperatorMatrix, initial,
+                            horizon_cycles: int = 64) -> float:
+    """Angular frequency of the return-probability oscillation, by scanning.
+
+    The survival probability P(t) = |<psi0| exp(-i H t) |psi0>|^2 is
+    stepped at 1/128 of the base period 2 pi / spread, and each local
+    maximum after the first dip is polished with a bounded scalar
+    minimiser; the first polished maximum with 1 - P < 1e-9 is the
+    revival, and the returned frequency is 2 pi / t_revival.  Shares no
+    revival logic with ``dynamics.rabi_frequency``, which reads the
+    revival off whole base periods.
+
+    Raises
+    ------
+    NoDynamicsError
+        If P never leaves 1 or never returns within the scan horizon.
+    """
+    if not generator.hermitian:
+        raise ValueError("rabi_frequency expects a Hermitian generator")
+    psi0 = _as_vector(generator.basis, initial)
+    nrm = np.linalg.norm(psi0)
+    if nrm == 0:
+        raise ValueError("initial state must be non-zero")
+    psi0 = psi0 / nrm
+
+    evals, evecs = np.linalg.eigh(generator.matrix)
+    weights = np.abs(evecs.conj().T @ psi0) ** 2
+    active = weights > 1e-14
+    spread = float(evals[active].max() - evals[active].min()) if active.any() else 0.0
+    if spread <= 0.0:
+        raise NoDynamicsError("survival probability does not oscillate")
+
+    def survival(t):
+        return abs(np.sum(weights * np.exp(-1j * evals * t))) ** 2
+
+    base_period = 2.0 * math.pi / spread
+    dt = base_period / 128.0
+    horizon = horizon_cycles * base_period
+
+    from scipy.optimize import minimize_scalar
+
+    dipped = False
+    t = dt
+    while t <= horizon:
+        p = survival(t)
+        if not dipped:
+            if 1.0 - p > _DIP_THRESHOLD:
+                dipped = True
+        elif p > survival(t - dt) and p > survival(t + dt):
+            res = minimize_scalar(
+                lambda x: -survival(x), bounds=(t - dt, t + dt),
+                method="bounded", options={"xatol": 1e-13 * base_period},
+            )
+            t_star = float(res.x)
+            if 1.0 - survival(t_star) < 1e-9:
+                return 2.0 * math.pi / t_star
+        t += dt
+    raise NoDynamicsError(
+        "no revival of the survival probability within the scan horizon"
+    )
 
 
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:

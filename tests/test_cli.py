@@ -1,5 +1,6 @@
 """End-to-end tests of the scenario front end."""
 
+import copy
 import json
 import math
 import threading
@@ -12,8 +13,8 @@ import yaml
 import numpy as np
 
 from exchangelab import cli, gates, hilbert
-from exchangelab.cli import (MAX_GRID_COUNT, MAX_PARALLEL, MAX_SECTOR_DIM,
-                             ScenarioError, main, parse_scenario)
+from exchangelab.cli import (MAX_ATOMS, MAX_GRID_COUNT, MAX_PARALLEL,
+                             MAX_SECTOR_DIM, ScenarioError, main, parse_scenario)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -694,3 +695,74 @@ def test_degenerate_perturbation_exits_2(tmp_path, capsys):
     code = main(["perturb", "--scenario", str(singular), "--out", str(tmp_path)])
     assert code == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+_PERTURB = {"kind": "perturb", "parameters": {
+    "coupling": 0.05, "atoms": 3, "delta_1": 1.0, "delta_2": 0.9,
+    "rule": {"selector": "none"}}}
+
+
+def _perturb(**params):
+    data = copy.deepcopy(_PERTURB)
+    data["parameters"].update(params)
+    return data
+
+
+def _rates(**params):
+    data = yaml.safe_load((SCENARIOS / "rates_high_density.yaml").read_text())
+    data["parameters"].update(params)
+    return data
+
+
+@pytest.mark.parametrize("data", [
+    _perturb(coupling=1.0e100),                       # OverflowError
+    _perturb(delta_1=1.0e-300, delta_2=2.0e-300),     # ZeroDivisionError
+    _rates(density=1.0e300, omega=1.0e300),           # ValueError: inf rate
+], ids=["overflow", "zero-division", "infinite-rate"])
+def test_numerical_failures_exit_2(tmp_path, capsys, data):
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(data))
+    with np.errstate(all="ignore"):
+        code = main([data["kind"], "--scenario", str(path), "--out", str(tmp_path)])
+    assert code == 2
+    assert "error: numerical failure: " in capsys.readouterr().err
+
+
+def test_sweep_point_overflow_is_a_numerical_error_row(tmp_path):
+    path = tmp_path / "sweep.yaml"
+    path.write_text(yaml.safe_dump({"kind": "sweep", "parameters": {
+        "parameter": "parameters.coupling", "values": [0.05, 1.0e100],
+        "base": _PERTURB}}))
+    with np.errstate(all="ignore"):
+        code = main(["sweep", "--scenario", str(path), "--out", str(tmp_path)])
+    assert code == 0
+    _, rows = _read_csv(tmp_path / "sweep.csv")
+    assert [row[2] for row in rows] == ["ok", "numerical-error"]
+    [failed] = json.loads((tmp_path / "run.meta.json").read_text())["failed_points"]
+    assert failed["index"] == 1 and failed["error"].startswith("OverflowError: ")
+
+
+@pytest.mark.parametrize("digits, message", [
+    (400, "parameters.rabi must be finite"),
+    (5000, "invalid YAML"),     # past Python's integer-string limit
+])
+def test_integer_beyond_a_double_is_a_validation_error(tmp_path, monkeypatch,
+                                                       capsys, digits, message):
+    _refuse_compute(monkeypatch, "rates")
+    text = (SCENARIOS / "rates_high_density.yaml").read_text()
+    path = tmp_path / "huge.yaml"
+    path.write_text(text.replace("rabi: 1.0e+11", "rabi: 1" + "0" * (digits - 1)))
+    assert main(["rates", "--scenario", str(path), "--out", str(tmp_path)]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_atom_count_is_bounded_at_validation(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "atoms.yaml"
+    path.write_text(yaml.safe_dump(_perturb(atoms=MAX_ATOMS)))
+    assert main(["perturb", "--scenario", str(path), "--out", str(tmp_path)]) == 0
+    _refuse_compute(monkeypatch, "perturb")
+    for atoms in (MAX_ATOMS + 1, 2**63):
+        path.write_text(yaml.safe_dump(_perturb(atoms=atoms)))
+        assert main(["perturb", "--scenario", str(path),
+                     "--out", str(tmp_path)]) == 1
+        assert f"parameters.atoms must be <= {MAX_ATOMS}" in capsys.readouterr().err

@@ -31,7 +31,8 @@ from exchangelab.hilbert import (
     total_quanta_operator,
 )
 
-from oracles import random_hermitian, rowwise_trajectory_csv, series_propagator
+from oracles import (random_hermitian, rowwise_trajectory_csv,
+                     scanning_rabi_frequency, series_propagator)
 
 
 def _beamsplitter_basis():
@@ -390,6 +391,74 @@ def test_rabi_accepts_vector_initial():
     basis, op = _exchange_generator(1, g)
     freq = rabi_frequency(op, basis.state_vector((1, 0)))
     assert freq == pytest.approx(2 * g, rel=1e-9)
+
+
+def _rabi_case(kind, *args):
+    """(generator, initial state) of one Rabi agreement case."""
+    if kind == "bosonic":
+        sector, rate, initial = args
+        return _exchange_generator(sector, rate)[1], initial
+    if kind == "tavis-cummings":
+        atoms, initial = args
+        modes = [photon_mode("field"), collective_mode("atoms", atoms)]
+        basis = enumerate_basis(modes, sum(initial))
+        return exchange_coupling(basis, "field", "atoms", 0.7), initial
+    dim, seed = args
+    basis = enumerate_basis([photon_mode(f"m{k}") for k in range(dim)], 1)
+    matrix = random_hermitian(np.random.default_rng(seed), dim)
+    return OperatorMatrix(basis, matrix, hermitian=True), (1,) + (0,) * (dim - 1)
+
+
+_REVIVING = (
+    [("bosonic", sector, rate, initial) for sector in (1, 2, 3, 4)
+     for rate in (0.3, 1.3, 10.0) for initial in ((sector, 0), (sector - 1, 1))]
+    + [("tavis-cummings", atoms, initial) for atoms in range(1, 9)
+       for initial in ((1, 0), (2, 0), (1, 1))]
+    + [("random", 2, seed) for seed in range(6)]
+)
+
+
+@pytest.mark.parametrize(
+    "case", _REVIVING, ids=lambda case: "-".join(map(str, case)).replace(" ", ""))
+def test_rabi_agrees_with_scanning_oracle(case):
+    op, initial = _rabi_case(*case)
+    assert rabi_frequency(op, initial) == pytest.approx(
+        scanning_rabi_frequency(op, initial), rel=1e-9)
+
+
+def _almost_eigenvector():
+    op, _ = _rabi_case("random", 2, 0)
+    _, vecs = np.linalg.eigh(op.matrix)
+    return op, math.sqrt(1.0 - 1e-10) * vecs[:, 0] + 1e-5 * vecs[:, 1]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _rabi_case("random", 3, 0),
+    lambda: _rabi_case("random", 3, 1),
+    lambda: _rabi_case("random", 4, 0),
+    _almost_eigenvector,
+], ids=["random-3-0", "random-3-1", "random-4-0", "weight-1e-10-off-eigenvector"])
+def test_rabi_and_oracle_both_find_no_revival(make):
+    op, initial = make()
+    with pytest.raises(NoDynamicsError):
+        rabi_frequency(op, initial)
+    with pytest.raises(NoDynamicsError):
+        scanning_rabi_frequency(op, initial)
+
+
+@pytest.mark.parametrize("spread", [1.0, 123.4])
+def test_rabi_horizon_is_64_base_periods(spread):
+    basis = enumerate_basis([photon_mode(f"m{k}") for k in range(3)], 1)
+    even = np.ones(3) / math.sqrt(3.0)
+
+    def diagonal(middle):
+        levels = np.diag([0.0, middle, spread]).astype(complex)
+        return OperatorMatrix(basis, levels, hermitian=True)
+
+    assert rabi_frequency(diagonal(spread / 64), even) == pytest.approx(
+        spread / 64, rel=1e-12)
+    with pytest.raises(NoDynamicsError, match="horizon"):
+        rabi_frequency(diagonal(spread / 65), even)
 
 
 # ---------------------------------------------------------------------------

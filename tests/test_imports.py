@@ -1,4 +1,5 @@
-"""Import-weight guard: scipy loads only on the paths that use it, and
+"""Import-weight guard: scipy loads only when a lossy segment is evolved
+(``scipy.linalg``; no path loads ``scipy.optimize``), and
 ``concurrent.futures`` on none (sweep points run in order).
 
 Each check runs in a fresh interpreter, since the test process itself has
@@ -51,6 +52,17 @@ print(json.dumps({"codes": {"lossy.yaml": code},
                   "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
 """
 
+_README_RABI = """
+import json, sys
+from exchangelab.hilbert import (photon_mode, collective_mode,
+                                 enumerate_basis, exchange_coupling)
+from exchangelab.dynamics import rabi_frequency
+basis = enumerate_basis([photon_mode("field"), collective_mode("atoms")], 2)
+coupling = exchange_coupling(basis, "field", "atoms", rate=1.0)
+print(json.dumps({"frequency": rabi_frequency(coupling, (1, 1)),
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
 
 def _fresh_run(script, tmp_path):
     env = dict(os.environ)
@@ -75,3 +87,9 @@ def test_lossy_segment_loads_scipy_linalg(tmp_path):
     assert out["codes"] == {"lossy.yaml": 0}
     assert "scipy.linalg" in out["scipy"]
     assert (tmp_path / "trajectory.csv").is_file()
+
+
+def test_readme_rabi_example_loads_no_scipy(tmp_path):
+    out = _fresh_run(_README_RABI, tmp_path)
+    assert abs(out["frequency"] - 4.0) < 1e-12
+    assert out["scipy"] == []
