@@ -19,7 +19,6 @@ result outside the range of a double).
 from __future__ import annotations
 
 import argparse
-import copy
 import difflib
 import sys
 from dataclasses import dataclass, field
@@ -158,7 +157,6 @@ class Scenario:
     """A validated scenario ready to run."""
 
     kind: str
-    data: dict
     model: Optional[gates.ExchangeModel] = None
     schedule: Optional[List[PulseSegment]] = None
     preset: Optional[str] = None
@@ -472,7 +470,7 @@ def validate_scenario(data: dict) -> Scenario:
         _fail(f"kind must be one of {', '.join(KINDS)}, got {kind!r}{hint}")
     entry = _KINDS[kind]
     _check_keys(data, ("kind", *entry.sections, "output"), "scenario")
-    scenario = Scenario(kind=kind, data=copy.deepcopy(data))
+    scenario = Scenario(kind=kind)
     entry.parse(data, scenario)
     scenario.output = _parse_output(data, entry.outputs)
     return scenario
@@ -574,10 +572,11 @@ def _emit_five_pulse(result: dict, scenario: Scenario,
 def _compute_perturb(scenario: Scenario) -> dict:
     params = scenario.parameters["params"]
     rule = scenario.parameters["rule"]
-    fit = perturbation.cross_fit(params, rule)
-    problem = perturbation.build_problem(params, rule)
-    result = perturbation.rspt_energy(problem, order=4)
+    # the closed form first: a coupling whose M^4 leaves the range of a
+    # double fails here, as an OverflowError, before the fit does
     d_e, d_e_prime = perturbation.franson_formula(params)
+    fit = perturbation.cross_fit(params, rule)
+    result = perturbation.rspt_energy(perturbation.build_problem(params, rule))
     return {"fit": fit, "orders": result.orders,
             "diagnostics": result.diagnostics,
             "franson": (d_e, d_e_prime),
@@ -686,13 +685,12 @@ KINDS = tuple(_KINDS)
 
 
 def _point_data(base: dict, keys: List[str], value) -> dict:
-    """The scenario document of one sweep point."""
-    data = copy.deepcopy(base)
-    cursor = data
-    for key in keys[:-1]:
-        cursor = cursor[key]
-    cursor[keys[-1]] = value
-    return data
+    """The scenario document of one sweep point: ``base`` with ``value`` at
+    the key path, copying only the mappings on that path.  Sweeps cannot
+    nest and the other kinds' parsers keep no reference into their document,
+    so points may share everything else."""
+    key, *rest = keys
+    return {**base, key: _point_data(base[key], rest, value) if rest else value}
 
 
 def _sweep_point(point: Scenario | str, columns: Tuple[str, ...],

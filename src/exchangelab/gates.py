@@ -103,19 +103,17 @@ def three_pulse_schedule(model: ExchangeModel, rate: float) -> list:
 
 @dataclass(frozen=True)
 class LogicalEncoding:
-    """Which modes carry the two logical qubits; the rest are ancillas."""
+    """Which modes carry the two logical qubits; the rest start empty."""
 
     qubit_1: str = "photon_1"
     qubit_2: str = "photon_2"
-    ancillas: Tuple[str, ...] = ("collective",)
 
     def __post_init__(self):
-        labels = (self.qubit_1, self.qubit_2) + tuple(self.ancillas)
-        if len(set(labels)) != len(labels):
+        if self.qubit_1 == self.qubit_2:
             raise ValueError("encoding modes must be distinct")
 
     def occupations(self, modes: Sequence[ModeSpec], q1: int, q2: int):
-        """Occupation tuple for logical |q1 q2> with empty ancillas."""
+        """Occupation tuple for logical |q1 q2>, every other mode empty."""
         fill = {self.qubit_1: q1, self.qubit_2: q2}
         occ = []
         for mode in modes:
@@ -179,22 +177,10 @@ def extract_gate(schedule: Sequence[PulseSegment], encoding: LogicalEncoding,
     count) gates still get a verdict instead of an error.
     """
     modes = model.modes()
-    logical = [encoding.occupations(modes, q1, q2)
-               for q1 in (0, 1) for q2 in (0, 1)]
-    matrix = np.zeros((4, 4), dtype=complex)
-    leakage = np.zeros(4)
-    for col, occ_in in enumerate(logical):
-        sector = sum(occ_in)
-        basis = enumerate_basis(modes, sector)
-        out = final_state(schedule, basis, occ_in)
-        captured = 0.0
-        for row, occ_out in enumerate(logical):
-            if sum(occ_out) != sector:
-                continue
-            amp = out[basis.index(occ_out)]
-            matrix[row, col] = amp
-            captured += abs(amp) ** 2
-        leakage[col] = max(0.0, 1.0 - captured)
+    matrix = _amplitudes(schedule, modes, [encoding.occupations(modes, q1, q2)
+                                           for q1 in (0, 1) for q2 in (0, 1)])
+    leakage = np.array([max(0.0, 1.0 - sum(abs(amp) ** 2 for amp in column))
+                        for column in matrix.T])
 
     if abs(matrix[0, 0]) > 1e-12:
         matrix = matrix * (abs(matrix[0, 0]) / matrix[0, 0])
@@ -225,16 +211,24 @@ def single_quantum_transfer(schedule: Sequence[PulseSegment],
     product gate.
     """
     modes = model.modes()
-    basis = enumerate_basis(modes, 1)
     n = len(modes)
-    transfer = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        occ = tuple(1 if p == j else 0 for p in range(n))
-        out = final_state(schedule, basis, occ)
-        for i in range(n):
-            occ_out = tuple(1 if p == i else 0 for p in range(n))
-            transfer[i, j] = out[basis.index(occ_out)]
-    return transfer
+    return _amplitudes(schedule, modes, [tuple(int(p == j) for p in range(n))
+                                         for j in range(n)])
+
+
+def _amplitudes(schedule: Sequence[PulseSegment], modes: Sequence[ModeSpec],
+                occupations: Sequence[Tuple[int, ...]]) -> np.ndarray:
+    """Entry [r, c] is the amplitude of ``occupations[r]`` after the schedule
+    from ``occupations[c]``; zero between different total-quanta sectors."""
+    amps = np.zeros((len(occupations),) * 2, dtype=complex)
+    for col, occ_in in enumerate(occupations):
+        sector = sum(occ_in)
+        basis = enumerate_basis(modes, sector)
+        out = final_state(schedule, basis, occ_in)
+        for row, occ_out in enumerate(occupations):
+            if sum(occ_out) == sector:
+                amps[row, col] = out[basis.index(occ_out)]
+    return amps
 
 
 def _reshuffle(u: np.ndarray) -> np.ndarray:

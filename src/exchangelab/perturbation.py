@@ -153,8 +153,9 @@ class CollisionModelParams:
 class PerturbationProblem:
     """A reference level, its neighbours, and the coupling between them.
 
-    ``states`` are descriptors (opaque to the solver) with the reference
-    at ``reference``; ``energies`` may be complex per the width rule;
+    ``states`` are descriptors (opaque to the solver), reference first:
+    state 0 is the level whose shift is computed; ``energies`` may be
+    complex per the width rule;
     ``coupling`` is the real V matrix with zero diagonal; ``classes``
     label states for path diagnostics; ``energy_scale`` sets the
     degeneracy threshold.
@@ -174,7 +175,6 @@ class PerturbationProblem:
     energies: np.ndarray
     coupling: np.ndarray
     energy_scale: float
-    reference: int = 0
     classes: Tuple[str, ...] = ()
     multiplicity: Tuple[int, ...] = ()
     degree: Optional[np.ndarray] = None
@@ -191,8 +191,6 @@ class PerturbationProblem:
             raise ValueError("coupling must have zero diagonal")
         if np.max(np.abs(coupling - coupling.T)) > 0.0:
             raise ValueError("coupling must be symmetric")
-        if not 0 <= self.reference < dim:
-            raise ValueError("reference index out of range")
         if self.energy_scale <= 0 or not np.isfinite(self.energy_scale):
             raise ValueError("energy_scale must be positive and finite")
         classes = self.classes if self.classes else ("intermediate",) * dim
@@ -283,7 +281,6 @@ def _build(params: CollisionModelParams, rule: WidthRule,
         energies=energies,
         coupling=params.coupling * ladder,
         energy_scale=abs(params.reference_detuning),
-        reference=0,
         classes=classes,
         multiplicity=tuple(math.comb(atoms, int(j)) for j in k),
         degree=degree,
@@ -307,63 +304,59 @@ class PerturbationResult:
         return self.orders[k]
 
 
-def rspt_energy(problem: PerturbationProblem, order: int = 4) -> PerturbationResult:
-    """Rayleigh-Schrodinger corrections through the requested order (max 4).
+def rspt_energy(problem: PerturbationProblem) -> PerturbationResult:
+    """Rayleigh-Schrodinger corrections of orders 1 to 4 to the reference.
 
-    Uses the standard nondegenerate expansion for a reference with zero
-    diagonal coupling; the fourth order includes the renormalization
-    term -E2 * sum |V_0k|^2 / gap_k^2.  Complex level energies enter the
-    gaps as-is.
+    The reference is state 0 of the problem (reference first).  Uses the
+    standard nondegenerate expansion for a reference with zero diagonal
+    coupling; the fourth order includes the renormalization term
+    -E2 * sum |V_0k|^2 / gap_k^2.  Complex level energies enter the gaps
+    as-is.  An overflow or invalid operation raises
+    :class:`FloatingPointError` instead of returning a non-finite order.
     """
-    if order not in (1, 2, 3, 4):
-        raise ValueError("order must be between 1 and 4")
-    ref = problem.reference
-    mask = np.arange(problem.dim) != ref
-    u = problem.coupling[ref, mask]
-    w_block = problem.coupling[np.ix_(mask, mask)]
-    gaps = problem.energies[ref] - problem.energies[mask]
+    u = problem.coupling[0, 1:]
+    w_block = problem.coupling[1:, 1:]
+    gaps = problem.energies[0] - problem.energies[1:]
     scale = problem.energy_scale
 
     tiny = np.abs(gaps) <= GAP_TOLERANCE * scale
     if tiny.any():
-        culprit = problem.states[int(np.flatnonzero(mask)[int(np.argmax(tiny))])]
+        culprit = problem.states[1 + int(np.argmax(tiny))]
         raise SingularityError(
             f"intermediate state {culprit!r} is degenerate with the reference"
         )
 
-    orders: Dict[int, complex] = {1: 0.0 + 0.0j}
-    x = u / gaps
-    if order >= 2:
-        orders[2] = complex(u @ x)
-    if order >= 3:
-        orders[3] = complex(x @ w_block @ x)
-    if order >= 4:
+    with np.errstate(over="raise", invalid="raise"):
+        x = u / gaps
+        e2 = complex(u @ x)
         wx = w_block @ x
-        orders[4] = complex((wx / gaps) @ wx - orders[2] * (u @ (u / gaps ** 2)))
+        orders = {
+            1: 0.0 + 0.0j,
+            2: e2,
+            3: complex(x @ w_block @ x),
+            4: complex((wx / gaps) @ wx - e2 * (u @ (u / gaps ** 2))),
+        }
+        diagnostics = _path_diagnostics(problem, gaps, e2)
+    return PerturbationResult(orders=orders, diagnostics=diagnostics)
 
-    diagnostics = _path_diagnostics(problem, gaps, mask)
-    return PerturbationResult(orders={k: v for k, v in orders.items() if k <= order},
-                              diagnostics=diagnostics)
 
-
-def _path_diagnostics(problem, gaps, mask) -> Dict[str, object]:
+def _path_diagnostics(problem, gaps, e2) -> Dict[str, object]:
     """Count fourth-order member paths by middle-state class; record the largest.
 
     Counts and terms are those of single members (atom-labelled levels),
     not of the aggregated symmetric states, so they do not depend on how
-    the problem was reduced.  E2 in the renormalization term is the full
-    second order.
+    the problem was reduced.  ``e2`` is the full second order, which
+    enters the renormalization term.
     """
-    ref = problem.reference
     degree = problem.degree
     factor = np.sqrt(degree * degree.T)
     member = np.divide(problem.coupling, factor, out=np.zeros_like(problem.coupling),
                        where=factor > 0)
-    u = member[ref, mask]
-    w_block = member[mask][:, mask]
+    u = member[0, 1:]
+    w_block = member[1:, 1:]
     nz_u = u != 0.0
     # members of the one-step states a member of each middle state couples to
-    fan = ((w_block != 0.0) & nz_u[None, :]) * degree[mask][:, mask]
+    fan = ((w_block != 0.0) & nz_u[None, :]) * degree[1:, 1:]
     fan = fan.sum(axis=1)
     x = np.abs(u / gaps)
     inv = 1.0 / np.abs(gaps)
@@ -372,14 +365,12 @@ def _path_diagnostics(problem, gaps, mask) -> Dict[str, object]:
     paths = alpha.max(axis=0, initial=0.0) * beta.max(axis=1, initial=0.0)
     max_path = float(paths[fan > 0].max(initial=0.0))
     counts: Dict[str, int] = {}
-    multiplicity = [m for m, keep in zip(problem.multiplicity, mask) if keep]
-    classes = [problem.classes[i] for i in np.flatnonzero(mask)]
+    multiplicity = problem.multiplicity[1:]
+    classes = problem.classes[1:]
     for b in np.flatnonzero(fan):
         n = int(fan[b])
         counts[classes[b]] = counts.get(classes[b], 0) + multiplicity[b] * n * n
-    u_full = problem.coupling[ref, mask]
-    e2_mag = float(np.abs(u_full @ (u_full / gaps)))
-    renorm_max = e2_mag * float(np.max(x * inv * np.abs(u), initial=0.0))
+    renorm_max = abs(e2) * float(np.max(x * inv * np.abs(u), initial=0.0))
     return {
         "basis_size": sum(problem.multiplicity),
         "path_terms": counts,
@@ -436,8 +427,8 @@ def cross_fit(params: CollisionModelParams, rule: WidthRule) -> CrossFit:
     path_scale = 0.0
     for n1, n2 in _FIT_GRID:
         point = replace(params, n_1=n1, n_2=n2)
-        full = rspt_energy(_build(point, rule, params.atoms), order=4)
-        single = rspt_energy(_build(point, rule, 1), order=4)
+        full = rspt_energy(_build(point, rule, params.atoms))
+        single = rspt_energy(_build(point, rule, 1))
         totals[(n1, n2)] = full.order(4)
         singles[(n1, n2)] = single.order(4)
         path_scale = max(path_scale, float(full.diagnostics["max_path_term"]))

@@ -102,13 +102,12 @@ def scanning_rabi_frequency(generator: OperatorMatrix, initial,
 
     base_period = 2.0 * math.pi / spread
     dt = base_period / 128.0
-    horizon = horizon_cycles * base_period
 
     from scipy.optimize import minimize_scalar
 
     dipped = False
-    t = dt
-    while t <= horizon:
+    for k in range(1, 128 * horizon_cycles + 1):
+        t = k * dt     # not t += dt, whose rounding can step past the horizon
         p = survival(t)
         if not dipped:
             if 1.0 - p > _DIP_THRESHOLD:
@@ -121,7 +120,6 @@ def scanning_rabi_frequency(generator: OperatorMatrix, initial,
             t_star = float(res.x)
             if 1.0 - survival(t_star) < 1e-9:
                 return 2.0 * math.pi / t_star
-        t += dt
     raise NoDynamicsError(
         "no revival of the survival probability within the scan horizon"
     )
@@ -292,6 +290,5 @@ def labelled_perturbation_problem(params: CollisionModelParams, rule: WidthRule,
         energies=energies,
         coupling=matrix,
         energy_scale=abs(params.reference_detuning),
-        reference=0,
         classes=tuple(classes),
     )

@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import threading
+import warnings
 from pathlib import Path
 from textwrap import dedent
 
@@ -38,12 +39,30 @@ def test_documented_scenarios_parse_and_roundtrip():
         scenario = parse_scenario(path.read_text())
         assert scenario.kind in ("simulate", "gate", "five-pulse", "perturb",
                                  "rates", "sweep")
-        # the normalized document survives a dump/parse cycle
-        again = parse_scenario(yaml.safe_dump(scenario.data))
-        assert again.kind == scenario.kind
-        assert again.data == scenario.data
+        # the document survives a dump/parse cycle
+        again = parse_scenario(yaml.safe_dump(yaml.safe_load(path.read_text())))
+        assert again == scenario
     kinds = {yaml.safe_load(path.read_text())["kind"] for path in files}
     assert kinds == set(cli.KINDS)
+
+
+def test_sweep_points_leave_the_document_alone():
+    doc = yaml.safe_load((SCENARIOS / "sweep_perturb_width.yaml").read_text())
+    snapshot = copy.deepcopy(doc)
+    scenario = cli.validate_scenario(doc)
+    assert doc == snapshot
+    points = [point for _, point in scenario.parameters["points"]]
+    assert [p.parameters["rule"].width for p in points] == [0.0, 0.0001, 0.001, 0.01]
+    # point documents differ from the base in the swept value only, and own
+    # the mappings on its path
+    base, keys = doc["parameters"]["base"], ["parameters", "rule", "width"]
+    first, second = (cli._point_data(base, keys, w) for w in (0.5, 0.25))
+    assert doc == snapshot
+    assert [p["parameters"]["rule"]["width"] for p in (first, second)] == [0.5, 0.25]
+    for point in (first, second):
+        point["parameters"]["rule"]["width"] = 0.0     # the base's value
+        assert point == base
+    assert doc == snapshot
 
 
 def test_unknown_key_gets_suggestion():
@@ -740,6 +759,36 @@ def test_sweep_point_overflow_is_a_numerical_error_row(tmp_path):
     assert [row[2] for row in rows] == ["ok", "numerical-error"]
     [failed] = json.loads((tmp_path / "run.meta.json").read_text())["failed_points"]
     assert failed["index"] == 1 and failed["error"].startswith("OverflowError: ")
+
+
+def test_perturb_overflow_is_a_numerical_failure_without_warnings(tmp_path, capsys):
+    # the fourth order overflows at this coupling before any output exists
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(_perturb(atoms=2, coupling=1.0e77)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["perturb", "--scenario", str(path), "--out", str(tmp_path)])
+    assert code == 2
+    assert ("error: numerical failure: overflow encountered"
+            in capsys.readouterr().err)
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
+def test_perturb_sweep_overflow_keeps_its_ok_rows(tmp_path):
+    path = tmp_path / "sweep.yaml"
+    path.write_text(yaml.safe_dump({"kind": "sweep", "parameters": {
+        "parameter": "parameters.coupling", "values": [0.05, 1.0e77],
+        "base": _perturb(atoms=2)}}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["sweep", "--scenario", str(path), "--out", str(tmp_path)])
+    assert code == 0
+    _, rows = _read_csv(tmp_path / "sweep.csv")
+    assert [row[2] for row in rows] == ["ok", "numerical-error"]
+    [failed] = json.loads((tmp_path / "run.meta.json").read_text())["failed_points"]
+    assert failed == {"index": 1, "status": "numerical-error",
+                      "error": "FloatingPointError: overflow encountered in matmul"}
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 @pytest.mark.parametrize("digits, message", [

@@ -446,7 +446,7 @@ def test_rabi_and_oracle_both_find_no_revival(make):
         scanning_rabi_frequency(op, initial)
 
 
-@pytest.mark.parametrize("spread", [1.0, 123.4])
+@pytest.mark.parametrize("spread", [1.0, 1.7, 123.4])
 def test_rabi_horizon_is_64_base_periods(spread):
     basis = enumerate_basis([photon_mode(f"m{k}") for k in range(3)], 1)
     even = np.ones(3) / math.sqrt(3.0)
@@ -455,10 +455,11 @@ def test_rabi_horizon_is_64_base_periods(spread):
         levels = np.diag([0.0, middle, spread]).astype(complex)
         return OperatorMatrix(basis, levels, hermitian=True)
 
-    assert rabi_frequency(diagonal(spread / 64), even) == pytest.approx(
-        spread / 64, rel=1e-12)
-    with pytest.raises(NoDynamicsError, match="horizon"):
-        rabi_frequency(diagonal(spread / 65), even)
+    for probe in (rabi_frequency, scanning_rabi_frequency):
+        assert probe(diagonal(spread / 64), even) == pytest.approx(
+            spread / 64, rel=1e-12)
+        with pytest.raises(NoDynamicsError, match="horizon"):
+            probe(diagonal(spread / 65), even)
 
 
 # ---------------------------------------------------------------------------
