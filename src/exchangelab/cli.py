@@ -4,7 +4,8 @@ A scenario is a single YAML document with a ``kind`` selecting the
 experiment (simulate, gate, five-pulse, perturb, rates, sweep) and
 kind-specific blocks.  Validation is strict: unknown keys are rejected
 with a nearest-key suggestion, every numeric field is checked before
-any computation runs.
+any computation runs, and a document whose mappings and sequences nest
+more than ``MAX_NESTING`` deep is refused before it is composed.
 
 Reports are written with deterministic formatting (sorted JSON keys,
 17-significant-digit floats), so repeated runs produce byte-identical
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import difflib
+import functools
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -59,6 +61,17 @@ MAX_ATOMS = 10**15
 #: division that leaves the range of a double.
 _NUMERICAL_ERRORS = (SingularityError, NoDynamicsError, ValueError,
                      ArithmeticError)
+
+#: Deepest nesting of mappings and sequences in a scenario document.  The
+#: deepest valid document, a sweep over a ``schedule-run`` base, nests 8
+#: deep; libyaml composes by C recursion, which tens of thousands of
+#: levels crash.
+MAX_NESTING = 32
+
+#: PyYAML's libyaml loader, or its pure-Python one where PyYAML was built
+#: without libyaml.  Both share the Python constructor and resolver, so a
+#: document decodes to the same values either way.
+_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 _META = "run.meta.json"
 
@@ -476,10 +489,25 @@ def validate_scenario(data: dict) -> Scenario:
     return scenario
 
 
+def _check_nesting(text: str) -> None:
+    """Refuse a document nested deeper than ``MAX_NESTING``, walking its
+    parse events without recursion."""
+    depth = 0
+    for event in yaml.parse(text, Loader=_LOADER):
+        if isinstance(event, yaml.CollectionStartEvent):
+            depth += 1
+            if depth > MAX_NESTING:
+                raise yaml.YAMLError(f"mappings and sequences nest more than "
+                                     f"{MAX_NESTING} deep")
+        elif isinstance(event, yaml.CollectionEndEvent):
+            depth -= 1
+
+
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate a YAML scenario document."""
     try:
-        data = yaml.safe_load(text)
+        _check_nesting(text)
+        data = yaml.load(text, Loader=_LOADER)
     except (yaml.YAMLError, ValueError) as exc:
         # ValueError: an integer literal past Python's integer-string limit
         raise ScenarioError(f"invalid YAML: {exc}") from exc
@@ -742,7 +770,9 @@ def run_scenario(scenario: Scenario, out_dir) -> int:
     return code
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once: it depends only on ``_KINDS``."""
     parser = argparse.ArgumentParser(
         prog="exchangelab",
         description="Numerical laboratory for photon-exchange gate schemes.")
@@ -758,7 +788,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              help=f"accepted, 1 to {MAX_PARALLEL} (default 1); "
                                   "points run in order, so it changes "
                                   "neither results nor speed")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    args = _parser().parse_args(argv)
     parallel = getattr(args, "parallel", 1)
     if not 1 <= parallel <= MAX_PARALLEL:
         print(f"error: --parallel must lie in 1..{MAX_PARALLEL}, got {parallel}",
@@ -766,8 +800,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
 
     try:
-        text = Path(args.scenario).read_text()
-    except OSError as exc:
+        text = Path(args.scenario).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read scenario: {exc}", file=sys.stderr)
         return 1
     try:

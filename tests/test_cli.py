@@ -1,8 +1,12 @@
 """End-to-end tests of the scenario front end."""
 
+import argparse
 import copy
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
 import warnings
 from pathlib import Path
@@ -14,8 +18,9 @@ import yaml
 import numpy as np
 
 from exchangelab import cli, gates, hilbert
-from exchangelab.cli import (MAX_ATOMS, MAX_GRID_COUNT, MAX_PARALLEL,
-                             MAX_SECTOR_DIM, ScenarioError, main, parse_scenario)
+from exchangelab.cli import (MAX_ATOMS, MAX_GRID_COUNT, MAX_NESTING,
+                             MAX_PARALLEL, MAX_SECTOR_DIM, ScenarioError, main,
+                             parse_scenario)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -684,6 +689,15 @@ def test_missing_scenario_file_exits_1(tmp_path, capsys):
     assert "cannot read scenario" in capsys.readouterr().err
 
 
+def test_non_utf8_scenario_file_exits_1(tmp_path, capsys):
+    path = tmp_path / "latin1.yaml"
+    path.write_bytes(b"kind: gate\n\xff\xfe\n")
+    assert main(["gate", "--scenario", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read scenario: 'utf-8' codec can't decode")
+    assert not (tmp_path / "run.meta.json").exists()
+
+
 def test_invalid_yaml_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("kind: [unclosed\n")
@@ -815,3 +829,141 @@ def test_atom_count_is_bounded_at_validation(tmp_path, monkeypatch, capsys):
         assert main(["perturb", "--scenario", str(path),
                      "--out", str(tmp_path)]) == 1
         assert f"parameters.atoms must be <= {MAX_ATOMS}" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# YAML loading and the command-line parser
+# ---------------------------------------------------------------------------
+
+_LOADERS = [
+    pytest.param(yaml.SafeLoader, id="SafeLoader"),
+    pytest.param(getattr(yaml, "CSafeLoader", None), id="CSafeLoader",
+                 marks=pytest.mark.skipif(not yaml.__with_libyaml__,
+                                          reason="PyYAML built without libyaml")),
+]
+
+
+def _nested(depth, style):
+    """A document of ``depth`` nested sequences: ``[[…]]`` or ``- - … x``."""
+    return "[" * depth + "]" * depth if style == "flow" else "- " * depth + "x"
+
+
+@pytest.mark.parametrize("style", ["flow", "block"])
+@pytest.mark.parametrize("loader", _LOADERS)
+def test_nesting_is_bounded_before_composing(tmp_path, monkeypatch, capsys,
+                                             loader, style):
+    monkeypatch.setattr(cli, "_LOADER", loader)
+    # at the bound the document is composed, and fails for being a list
+    with pytest.raises(ScenarioError, match="scenario must be a mapping"):
+        parse_scenario(_nested(MAX_NESTING, style))
+    path = tmp_path / "deep.yaml"
+    for depth in (MAX_NESTING + 1, 600):
+        path.write_text(_nested(depth, style))
+        assert main(["gate", "--scenario", str(path), "--out", str(tmp_path)]) == 1
+        assert (f"error: invalid YAML: mappings and sequences nest more than "
+                f"{MAX_NESTING} deep") in capsys.readouterr().err
+
+
+_DEEP_RUN = """
+import sys, yaml
+from exchangelab import cli
+cli._LOADER = getattr(yaml, sys.argv[1])
+sys.exit(cli.main(["gate", "--scenario", sys.argv[2], "--out", sys.argv[3]]))
+"""
+
+
+@pytest.mark.parametrize("style", ["flow", "block"])
+@pytest.mark.parametrize("loader", _LOADERS)
+def test_very_deep_document_exits_1_without_a_crash(tmp_path, loader, style):
+    # in a child process: composing this depth in C would end it by SIGSEGV
+    path = tmp_path / "deep.yaml"
+    path.write_text(_nested(200_000, style))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(cli.__file__).resolve().parents[1]),
+                      env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _DEEP_RUN, loader.__name__, str(path),
+         str(tmp_path)], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1, done.stderr[-2000:]
+    assert done.stderr == (f"error: invalid YAML: mappings and sequences nest "
+                           f"more than {MAX_NESTING} deep\n")
+
+
+_MALFORMED = {
+    "unclosed": "kind: [unclosed\n",
+    "tab-indent": "kind: gate\nparameters:\n\t- 1\n",
+    "two-documents": "kind: gate\n---\nkind: gate\n",
+    "undefined-alias": "kind: *nope\n",
+    "python-tag": "kind: !!python/object/apply:os.getcwd []\n",
+    "control-character": "kind: gate\x07\n",
+    "integer-past-the-string-limit": "kind: rates\nx: 1" + "0" * 5000 + "\n",
+}
+
+_DECODED = {
+    "merge-key": "base: &b {kind: gate}\n<<: *b\n",
+    "infinity": "kind: perturb\nparameters: {coupling: .inf, atoms: 2, "
+                "delta_1: 1.0, delta_2: 0.9, rule: {selector: none}}\n",
+    "hex-and-octal": "kind: perturb\nparameters: {coupling: 0.05, atoms: 0x10, "
+                     "delta_1: 0o7, delta_2: 0.9, rule: {selector: none}}\n",
+}
+
+
+def _outcome(text):
+    """The parsed scenario, or the error; YAML errors are compared by kind
+    only, since libyaml words its messages differently."""
+    try:
+        return parse_scenario(text)
+    except ScenarioError as exc:
+        return "invalid YAML" if str(exc).startswith("invalid YAML: ") else str(exc)
+
+
+@pytest.mark.parametrize("loader", _LOADERS)
+def test_loaders_decode_documents_alike(monkeypatch, loader):
+    monkeypatch.setattr(cli, "_LOADER", loader)
+    texts = {path.name: path.read_text() for path in SCENARIOS.glob("*.yaml")}
+    for name, text in {**texts, **_DECODED}.items():
+        # the reference: PyYAML's pure-Python safe_load, then validation
+        try:
+            expected = cli.validate_scenario(yaml.safe_load(text))
+        except ScenarioError as exc:
+            expected = str(exc)
+        assert _outcome(text) == expected, name
+    for name, text in _MALFORMED.items():
+        assert _outcome(text) == "invalid YAML", name
+
+
+def test_parser_is_built_once(tmp_path, monkeypatch, capsys):
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    _refuse_compute(monkeypatch, "perturb")
+    cli._parser.cache_clear()
+    try:
+        assert main(["gate", "--scenario", str(SCENARIOS / "gate_three_pulse.yaml"),
+                     "--out", str(tmp_path)]) == 0
+        after_first = len(built)
+        assert main(["sweep", "--scenario",
+                     str(SCENARIOS / "sweep_perturb_width.yaml"),
+                     "--out", str(tmp_path), "--parallel", "65"]) == 1
+        assert "--parallel must lie in 1..64" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as unknown:
+            main(["nope", "--scenario", "x.yaml"])
+        assert unknown.value.code == 2
+        with pytest.raises(SystemExit) as shown:
+            main(["--help"])
+        assert shown.value.code == 0
+        assert len(built) == after_first
+        assert built.count("exchangelab") == 1
+        # the cached parser prints the help a freshly built one prints
+        cached_help = capsys.readouterr().out
+        cli._parser.cache_clear()
+        assert cached_help == cli._parser().format_help()
+        assert all(kind in cached_help for kind in cli.KINDS)
+    finally:
+        cli._parser.cache_clear()

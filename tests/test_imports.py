@@ -1,6 +1,7 @@
 """Import-weight guard: scipy loads only when a lossy segment is evolved
 (``scipy.linalg``; no path loads ``scipy.optimize``), and
-``concurrent.futures`` on none (sweep points run in order).
+``concurrent.futures`` on none (sweep points run in order).  The CLI reads
+scenarios with PyYAML's libyaml loader wherever PyYAML has one.
 
 Each check runs in a fresh interpreter, since the test process itself has
 long since imported scipy through other tests.
@@ -17,6 +18,16 @@ ROOT = Path(__file__).resolve().parent.parent
 _ALL_SCENARIOS = """
 import importlib, json, pkgutil, sys
 from pathlib import Path
+import yaml
+loaders = set()
+def record(cls, init):
+    def __init__(self, *args, **kwargs):
+        loaders.add(type(self).__name__)
+        init(self, *args, **kwargs)
+    cls.__init__ = __init__
+for name in ("SafeLoader", "CSafeLoader"):
+    if hasattr(yaml, name):
+        record(getattr(yaml, name), getattr(yaml, name).__init__)
 import exchangelab
 from exchangelab import cli
 for info in pkgutil.iter_modules(exchangelab.__path__):
@@ -26,7 +37,8 @@ for path in sorted(Path(sys.argv[1]).glob("*.yaml")):
     kind = cli.parse_scenario(path.read_text()).kind
     codes[path.name] = cli.main([kind, "--scenario", str(path),
                                  "--out", str(Path(sys.argv[2]) / path.stem)])
-print(json.dumps({"codes": codes,
+print(json.dumps({"codes": codes, "loaders": sorted(loaders),
+                  "libyaml": yaml.__with_libyaml__,
                   "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
                   "concurrent": sorted(m for m in sys.modules
                                        if m.split(".")[0] == "concurrent")}))
@@ -80,6 +92,7 @@ def test_package_and_documented_scenarios_load_no_scipy(tmp_path):
     assert set(out["codes"].values()) == {0}
     assert out["scipy"] == []
     assert out["concurrent"] == []
+    assert out["loaders"] == ["CSafeLoader" if out["libyaml"] else "SafeLoader"]
 
 
 def test_lossy_segment_loads_scipy_linalg(tmp_path):
