@@ -15,6 +15,7 @@ g t = pi.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Tuple
@@ -25,10 +26,7 @@ from .hilbert import (
     BasisState,
     HilbertBasis,
     OperatorMatrix,
-    collective_mode,
-    enumerate_basis,
     exchange_coupling,
-    photon_mode,
 )
 
 __all__ = [
@@ -44,8 +42,8 @@ __all__ = [
     "phase_vs_loss",
 ]
 
-#: Largest sample grid of :func:`phase_vs_loss` (~32 MB of two-state
-#: amplitudes).
+#: Largest sample grid of :func:`phase_vs_loss`; a call at the cap peaks
+#: at ~88 MB of arrays (measured with ``tracemalloc``).
 MAX_PHASE_SAMPLES = 1_000_000
 
 
@@ -126,32 +124,18 @@ def segment_hamiltonian(basis: HilbertBasis, segment: PulseSegment) -> OperatorM
     return OperatorMatrix(basis, matrix, hermitian=segment.lossless)
 
 
-def _eigen_samples(generator: OperatorMatrix, state: np.ndarray,
-                   times) -> np.ndarray:
-    """exp(-i H t) state for each t of ``times``, from one ``eigh``.
-
-    ``state`` is expanded in the eigenbasis once; each sample applies its
-    own phases to those coefficients, so every sample is the one a separate
-    eigendecomposition would give, byte for byte.  A zero time returns the
-    state itself.
-    """
-    evals, evecs = np.linalg.eigh(generator.matrix)
-    coeffs = evecs.conj().T @ state
-    out = np.empty((len(times), state.size), dtype=complex)
-    for k, t in enumerate(times):
-        out[k] = state if t == 0.0 else evecs @ (np.exp(-1j * evals * t) * coeffs)
-    return out
-
-
 def _evolve_grid(generator: OperatorMatrix, state: np.ndarray,
                  duration: float, count: int) -> np.ndarray:
     """States exp(-i H duration j / count) state for j = 1..count.
 
     One factorisation serves every sample.  Generators flagged Hermitian
-    are diagonalised once (``_eigen_samples``).  The rest (non-zero decay
-    widths) get one scaled-and-squared matrix exponential of the step
-    duration / count, applied ``count`` times in turn; this is the only use
-    of ``scipy.linalg``, imported here so that lossless runs never load it.
+    are diagonalised once with ``eigh``: ``state`` is expanded in the
+    eigenbasis once and each sample applies its own phases to those
+    coefficients, so every sample is the one a separate eigendecomposition
+    would give, byte for byte.  The rest (non-zero decay widths) get one
+    scaled-and-squared matrix exponential of the step duration / count,
+    applied ``count`` times in turn; this is the only use of
+    ``scipy.linalg``, imported here so that lossless runs never load it.
     """
     if not np.isfinite(duration) or duration < 0:
         raise ValueError("duration must be finite and non-negative")
@@ -164,13 +148,17 @@ def _evolve_grid(generator: OperatorMatrix, state: np.ndarray,
         raise ValueError("state entries must be finite")
     if duration == 0.0:
         return np.tile(state, (count, 1))
+    out = np.empty((count, state.size), dtype=complex)
     if generator.hermitian:
-        return _eigen_samples(generator, state,
-                              [duration * j / count for j in range(1, count + 1)])
+        evals, evecs = np.linalg.eigh(generator.matrix)
+        coeffs = evecs.conj().T @ state
+        for j in range(count):
+            t = duration * (j + 1) / count
+            out[j] = evecs @ (np.exp(-1j * evals * t) * coeffs)
+        return out
     from scipy.linalg import expm
 
     step = expm(-1j * generator.matrix * (duration / count))
-    out = np.empty((count, state.size), dtype=complex)
     for j in range(count):
         state = out[j] = step @ state
     return out
@@ -268,12 +256,9 @@ def run_schedule(schedule: Sequence[PulseSegment], basis: HilbertBasis,
 
 def final_state(schedule: Sequence[PulseSegment], basis: HilbertBasis,
                 initial) -> np.ndarray:
-    """Propagate through a schedule without intermediate samples."""
-    state = _as_vector(basis, initial)
-    for segment in schedule:
-        gen = segment_hamiltonian(basis, segment)
-        state = evolve_segment(gen, state, segment.duration)
-    return state
+    """Propagate through a schedule without intermediate samples: the
+    one-sample-per-segment case of :func:`run_schedule`."""
+    return run_schedule(schedule, basis, initial, 1).final_state
 
 
 # Smallest dip 1 - P of the survival probability that counts as the state
@@ -333,10 +318,36 @@ def rabi_frequency(generator: OperatorMatrix, initial) -> float:
     return spread / float(periods[revived[0]])
 
 
-def _two_state_basis():
-    return enumerate_basis(
-        [photon_mode("photon"), collective_mode("collective")], sector=1
-    )
+def _photon_amplitudes(rate: float, diagonal: complex, times):
+    """Photon and collective amplitudes of exp(-i H t)|photon> at ``times``.
+
+    H = [[0, g], [g, c]] couples the photon at rate g to a collective state
+    with complex diagonal c = detuning - i width.  With mu = c / 2 and
+    Omega^2 = mu^2 + g^2 the propagator is e^{-i mu t} [cos(Omega t)
+    - i sin(Omega t) / Omega (H - mu)].  Taking the root with Im Omega >= 0
+    and factoring out the bounded e^{-i (mu + Omega) t} leaves (1 + e^z) / 2
+    and t phi(z) = expm1(z) / (2 i Omega), phi(z) = expm1(z) / z, with
+    z = 2 i Omega t and Re z <= 0: nothing overflows at any width or time,
+    and at the exceptional point Omega = 0 (detuning 0, width 2g) t phi is
+    t itself, with no division by Omega.  The exponent mu + Omega is the
+    photon's dressed energy; where the two terms nearly cancel it is taken
+    as g^2 / (Omega - mu) instead.
+    """
+    t = np.asarray(times, dtype=float)
+    mu = 0.5 * diagonal
+    # scaled so that mu^2 + g^2 neither overflows nor underflows
+    scale = max(abs(mu), abs(rate))
+    omega = scale * cmath.sqrt((mu / scale) ** 2 + (rate / scale) ** 2)
+    if omega.imag < 0.0:
+        omega = -omega
+    dressed = mu + omega
+    if abs(omega - mu) > abs(dressed):
+        dressed = rate * (rate / (omega - mu))
+    em1 = np.expm1(2j * omega * t)
+    t_phi = em1 / (2j * omega) if omega else t
+    envelope = np.exp(-1j * dressed * t)
+    return (envelope * (1.0 + 0.5 * em1 + 1j * mu * t_phi),
+            envelope * t_phi * (-1j * rate))
 
 
 def transmission_scan(rate: float, durations) -> list:
@@ -345,7 +356,9 @@ def transmission_scan(rate: float, durations) -> list:
     For each interaction duration tau the photon mode is coupled to a
     bosonized collective mode at rate g and the probability of finding
     the photon back in its mode is recorded; analytically this is
-    cos^2(g tau), periodic with period pi / g.
+    cos^2(g tau), periodic with period pi / g.  The amplitudes come from
+    the closed-form two-level propagator, evaluated for all durations at
+    once.
 
     Returns a list of (duration, survival) tuples.
     """
@@ -354,14 +367,8 @@ def transmission_scan(rate: float, durations) -> list:
     durations = [float(t) for t in durations]
     if any(t < 0 or not np.isfinite(t) for t in durations):
         raise ValueError("durations must be finite and non-negative")
-    basis = _two_state_basis()
-    gen = segment_hamiltonian(
-        basis, PulseSegment(duration=0.0, coupling=("photon", "collective", rate))
-    )
-    photon = basis.state_vector((1, 0))
-    states = _eigen_samples(gen, photon, durations)
-    return [(tau, float(abs(photon.conj() @ state) ** 2))
-            for tau, state in zip(durations, states)]
+    photon, _ = _photon_amplitudes(rate, 0.0, durations)
+    return list(zip(durations, (np.abs(photon) ** 2).tolist()))
 
 
 def phase_vs_loss(rate: float, detuning: float, width: float,
@@ -379,12 +386,12 @@ def phase_vs_loss(rate: float, detuning: float, width: float,
     -g^2 / (detuning - i w), whose real and imaginary parts stand in
     exactly that ratio.
 
-    The amplitudes come from the segment propagator; with w > 0 that is
-    one ``expm`` of the sample step, applied once per sample, which stays
-    accurate at the exceptional point detuning = 0, w = 2 g, where the two
-    eigenvectors of the generator coalesce.  A grid of more than
-    ``MAX_PHASE_SAMPLES`` samples is refused with ``ValueError`` before
-    anything is allocated.
+    The amplitudes come from the closed-form two-level propagator,
+    evaluated at every sample time at once; it needs no ``scipy`` and
+    stays accurate at the exceptional point detuning = 0, w = 2 g, where
+    the two eigenvectors of the generator coalesce, and at any w t.  A
+    grid of more than ``MAX_PHASE_SAMPLES`` samples is refused with
+    ``ValueError`` before anything is allocated.
     """
     for name, val in (("rate", rate), ("detuning", detuning),
                       ("width", width), ("duration", duration)):
@@ -406,18 +413,8 @@ def phase_vs_loss(rate: float, detuning: float, width: float,
                          f"{MAX_PHASE_SAMPLES}")
     n_samples = max(64, int(math.ceil(steps)))
 
-    basis = _two_state_basis()
-    segment = PulseSegment(
-        duration=duration,
-        coupling=("photon", "collective", rate),
-        detunings={"collective": detuning},
-        widths={"collective": width},
-    )
-    gen = segment_hamiltonian(basis, segment)
-    photon = basis.state_vector((1, 0))
-    photon_idx = basis.index((1, 0))
-    states = _evolve_grid(gen, photon, duration, n_samples)
-    angles = np.angle(states[:, photon_idx])
-    phase = float(np.unwrap(np.concatenate(([0.0], angles)))[-1])
-    loss = float(1.0 - np.linalg.norm(states[-1]) ** 2)
+    times = np.arange(1, n_samples + 1) * duration / n_samples
+    photon, collective = _photon_amplitudes(rate, detuning - 1j * width, times)
+    phase = float(np.unwrap(np.concatenate(([0.0], np.angle(photon))))[-1])
+    loss = float(1.0 - abs(photon[-1]) ** 2 - abs(collective[-1]) ** 2)
     return phase, loss

@@ -317,10 +317,10 @@ def test_one_factorisation_per_segment(monkeypatch):
     assert calls == {"eigh": 1, "expm": 2}
     calls.update(eigh=0, expm=0)
     transmission_scan(0.8, np.linspace(0.0, 10.0, 200))
-    assert calls == {"eigh": 1, "expm": 0}
+    assert calls == {"eigh": 0, "expm": 0}
     calls.update(eigh=0, expm=0)
     phase_vs_loss(rate=1.0, detuning=0.5, width=0.2, duration=30.0)
-    assert calls == {"eigh": 0, "expm": 1}
+    assert calls == {"eigh": 0, "expm": 0}
 
 
 def test_columnar_csv_matches_rowwise_writer(tmp_path):
@@ -549,9 +549,9 @@ def test_phase_vs_loss_validation():
 
 def test_phase_vs_loss_grid_is_capped_before_allocation(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("an oversized phase grid reached _evolve_grid")
+        raise AssertionError("an oversized phase grid reached _photon_amplitudes")
 
-    monkeypatch.setattr(dynamics, "_evolve_grid", refuse)
+    monkeypatch.setattr(dynamics, "_photon_amplitudes", refuse)
     # 8 * (1e6 + 2) * 1e3 / pi ~ 2.5e9 samples
     with pytest.raises(ValueError, match=f"more than {MAX_PHASE_SAMPLES}"):
         phase_vs_loss(rate=1.0, detuning=1e6, width=0.0, duration=1e3)

@@ -1,5 +1,6 @@
 """Import-weight guard: scipy loads only when a lossy segment is evolved
-(``scipy.linalg``; no path loads ``scipy.optimize``), and
+(``scipy.linalg``; the two-level probes, lossy or not, use a closed form,
+and no path loads ``scipy.optimize``), and
 ``concurrent.futures`` on none (sweep points run in order).  The CLI reads
 scenarios with PyYAML's libyaml loader wherever PyYAML has one.
 
@@ -75,6 +76,15 @@ print(json.dumps({"frequency": rabi_frequency(coupling, (1, 1)),
                   "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
 """
 
+_TWO_LEVEL_PROBES = """
+import json, sys
+from exchangelab.dynamics import phase_vs_loss, transmission_scan
+phase, loss = phase_vs_loss(1.0, 0.5, 0.2, 30.0)
+scan = transmission_scan(0.8, [0.0, 1.0, 2.0])
+print(json.dumps({"loss": loss, "survival": [p for _, p in scan],
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
 
 def _fresh_run(script, tmp_path):
     env = dict(os.environ)
@@ -105,4 +115,11 @@ def test_lossy_segment_loads_scipy_linalg(tmp_path):
 def test_readme_rabi_example_loads_no_scipy(tmp_path):
     out = _fresh_run(_README_RABI, tmp_path)
     assert abs(out["frequency"] - 4.0) < 1e-12
+    assert out["scipy"] == []
+
+
+def test_two_level_probes_load_no_scipy(tmp_path):
+    out = _fresh_run(_TWO_LEVEL_PROBES, tmp_path)
+    assert 0.0 < out["loss"] < 1.0
+    assert out["survival"][0] == 1.0
     assert out["scipy"] == []
