@@ -14,6 +14,8 @@ The package is organized bottom-up:
     configurable complex level widths
 ``estimates``
     order-of-magnitude feasibility rates in SI units
+``errors``
+    the numerical failures of the compute modules, importable without numpy
 ``cli``
     scenario-file driven command line front end
 """
@@ -26,5 +28,6 @@ __all__ = [
     "gates",
     "perturbation",
     "estimates",
+    "errors",
     "cli",
 ]

@@ -15,27 +15,36 @@ sidecar instead.
 Exit codes: 0 success, 1 validation error, 2 numerical failure
 (degenerate perturbation denominator, no detectable oscillation, a
 result outside the range of a double).
+
+Importing this module loads no compute module and no numpy.  Each kind
+imports what it computes with the first time it is parsed or run:
+``simulate``, ``gate`` and ``five-pulse`` load ``gates`` or ``dynamics``
+(with ``hilbert`` and numpy), ``perturb`` loads ``perturbation`` (with
+``hilbert`` and numpy), and ``rates`` loads only ``estimates``, so a
+cold ``rates`` run never imports numpy.  The numerical failures caught
+here live in the numpy-free ``errors`` module.
 """
 
 from __future__ import annotations
 
 import argparse
-import difflib
 import functools
+import math
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
-import numpy as np
 import yaml
 
-from . import dynamics, estimates, gates, perturbation
-from .dynamics import NoDynamicsError, PulseSegment
-from .hilbert import enumerate_basis
-from .perturbation import SingularityError
+from .errors import NoDynamicsError, SingularityError
 from .serialize import ensure_dir, write_csv, write_json
+
+if TYPE_CHECKING:
+    from .dynamics import PulseSegment
+    from .gates import ExchangeModel
 
 __all__ = ["ScenarioError", "Scenario", "parse_scenario", "run_scenario", "main"]
 
@@ -51,9 +60,10 @@ MAX_PARALLEL = 64
 #: Largest sector dimension of a ``schedule-run`` model.
 MAX_SECTOR_DIM = 2048
 
-#: Largest ``atoms`` of a ``perturb`` scenario: far above paper-scale
-#: clouds, and far enough inside int64 that the symmetric-sector member
-#: counts cannot overflow.
+#: Largest ``model.atoms`` of a dynamics scenario and ``parameters.atoms``
+#: of a ``perturb`` one: far above paper-scale clouds, exactly a double,
+#: and far enough inside int64 that the symmetric-sector member counts
+#: cannot overflow.
 MAX_ATOMS = 10**15
 
 #: What computing a validated scenario may raise on awkward numbers: a
@@ -84,12 +94,18 @@ def _fail(message: str) -> None:
     raise ScenarioError(message)
 
 
+def _hint(word: str, choices: Sequence[str]) -> str:
+    """A nearest-choice suggestion for an error message, or ''."""
+    import difflib
+
+    hints = difflib.get_close_matches(word, choices, n=1)
+    return f"; did you mean {hints[0]!r}?" if hints else ""
+
+
 def _check_keys(mapping: dict, allowed: Sequence[str], context: str) -> None:
     for key in mapping:
         if key not in allowed:
-            hints = difflib.get_close_matches(str(key), allowed, n=1)
-            hint = f"; did you mean {hints[0]!r}?" if hints else ""
-            _fail(f"unknown key {key!r} in {context}{hint}")
+            _fail(f"unknown key {key!r} in {context}{_hint(str(key), allowed)}")
 
 
 def _require_mapping(value, context: str) -> dict:
@@ -106,7 +122,7 @@ def _number(value, context: str, *, minimum=None, strict_min=None,
         value = float(value)
     except OverflowError:
         _fail(f"{context} must be finite, got an integer too large for a float")
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         _fail(f"{context} must be finite, got {value!r}")
     if minimum is not None and value < minimum:
         _fail(f"{context} must be >= {minimum}, got {value!r}")
@@ -136,6 +152,19 @@ def _check_length(values: list, context: str) -> None:
               f"{MAX_GRID_COUNT}")
 
 
+def _linspace(start: float, stop: float, count: int) -> List[float]:
+    """``count`` evenly spaced floats from ``start`` to ``stop``: the floats
+    of ``np.linspace(start, stop, count)``, by the same arithmetic."""
+    delta = stop - start
+    div = count - 1
+    if div == 0:
+        return [0.0 * delta + start]
+    step = delta / div
+    if step == 0:   # delta is zero, or so small that delta / div underflows
+        return [i / div * delta + start for i in range(div)] + [stop]
+    return [i * step + start for i in range(div)] + [stop]
+
+
 def _value_list(spec, context: str, *, minimum=None) -> List[float]:
     """A list of numbers, given either literally or as start/stop/count."""
     if isinstance(spec, list):
@@ -156,7 +185,10 @@ def _value_list(spec, context: str, *, minimum=None) -> List[float]:
     stop = _number(grid["stop"], f"{context}.stop", minimum=minimum)
     count = _integer(grid["count"], f"{context}.count", minimum=1,
                      maximum=MAX_GRID_COUNT)
-    return [float(x) for x in np.linspace(start, stop, count)]
+    if not math.isfinite(stop - start):
+        _fail(f"{context} grid spans {start!r} to {stop!r}, a range beyond "
+              f"a double")
+    return _linspace(start, stop, count)
 
 
 def _scalar_or_values(spec, context: str, *, minimum=None) -> List[float]:
@@ -170,7 +202,7 @@ class Scenario:
     """A validated scenario ready to run."""
 
     kind: str
-    model: Optional[gates.ExchangeModel] = None
+    model: Optional[ExchangeModel] = None
     schedule: Optional[List[PulseSegment]] = None
     preset: Optional[str] = None
     parameters: dict = field(default_factory=dict)
@@ -178,7 +210,9 @@ class Scenario:
     rows: int = 1   # table rows or trajectory samples one run computes
 
 
-def _parse_model(data: dict) -> gates.ExchangeModel:
+def _parse_model(data: dict) -> ExchangeModel:
+    from . import gates
+
     spec = data.get("model", {"type": "bosonized"})
     spec = _require_mapping(spec, "model")
     _check_keys(spec, ("type", "atoms"), "model")
@@ -191,11 +225,13 @@ def _parse_model(data: dict) -> gates.ExchangeModel:
         if "atoms" not in spec:
             _fail("model type tavis-cummings requires atoms")
         return gates.ExchangeModel(atoms=_integer(spec["atoms"], "model.atoms",
-                                                  minimum=1))
+                                                  minimum=1, maximum=MAX_ATOMS))
     _fail(f"model.type must be bosonized or tavis-cummings, got {kind!r}")
 
 
 def _parse_segment(spec, index: int, labels: Sequence[str]) -> PulseSegment:
+    from .dynamics import PulseSegment
+
     context = f"schedule.segments[{index}]"
     spec = _require_mapping(spec, context)
     _check_keys(spec, ("duration", "coupling", "detunings", "widths"), context)
@@ -231,8 +267,10 @@ def _parse_segment(spec, index: int, labels: Sequence[str]) -> PulseSegment:
                         widths=diagonal("widths", 0.0))
 
 
-def _parse_schedule(data: dict, model: gates.ExchangeModel,
+def _parse_schedule(data: dict, model: ExchangeModel,
                     ) -> Tuple[List[PulseSegment], Optional[str]]:
+    from . import gates
+
     spec = data.get("schedule")
     if spec is None:
         _fail("this scenario kind requires a schedule")
@@ -349,6 +387,8 @@ def _parse_five_pulse(data: dict, scenario: Scenario) -> None:
 
 
 def _parse_perturb(data: dict, scenario: Scenario) -> None:
+    from . import perturbation
+
     params = _require_mapping(data.get("parameters"), "parameters")
     allowed = ("coupling", "atoms", "delta_1", "delta_2", "delta", "width",
                "raman_factor", "n_1", "n_2", "rule")
@@ -478,9 +518,8 @@ def validate_scenario(data: dict) -> Scenario:
     data = _require_mapping(data, "scenario")
     kind = data.get("kind")
     if kind not in _KINDS:
-        hints = difflib.get_close_matches(str(kind), KINDS, n=1)
-        hint = f"; did you mean {hints[0]!r}?" if hints else ""
-        _fail(f"kind must be one of {', '.join(KINDS)}, got {kind!r}{hint}")
+        _fail(f"kind must be one of {', '.join(KINDS)}, got {kind!r}"
+              f"{_hint(str(kind), KINDS)}")
     entry = _KINDS[kind]
     _check_keys(data, ("kind", *entry.sections, "output"), "scenario")
     scenario = Scenario(kind=kind)
@@ -517,9 +556,13 @@ def parse_scenario(text: str) -> Scenario:
 # --------------------------------------------------------------------------
 # Runners: each kind has a pure compute step (shared with sweeps) and an
 # emit step that writes the artifacts.  A compute result holds the kind's
-# sweep columns under their column names.
+# sweep columns under their column names.  Each step imports the compute
+# module it uses (see the module docstring).
 
 def _compute_simulate(scenario: Scenario) -> dict:
+    from . import dynamics
+    from .hilbert import enumerate_basis
+
     params = scenario.parameters
     if params["experiment"] == "transmission":
         scan = dynamics.transmission_scan(params["rate"], params["durations"])
@@ -546,6 +589,10 @@ def _emit_simulate(result: dict, scenario: Scenario, out_dir: Path) -> List[Path
 
 
 def _compute_gate(scenario: Scenario) -> dict:
+    import numpy as np
+
+    from . import gates
+
     report = gates.extract_gate(scenario.schedule, gates.LogicalEncoding(),
                                 scenario.model,
                                 tol=scenario.parameters["tolerance"])
@@ -566,6 +613,8 @@ def _emit_gate(result: dict, scenario: Scenario, out_dir: Path) -> List[Path]:
 
 
 def _compute_five_pulse(scenario: Scenario) -> dict:
+    from . import gates
+
     params = scenario.parameters
     rows = []
     for theta in params["theta"]:
@@ -598,6 +647,8 @@ def _emit_five_pulse(result: dict, scenario: Scenario,
 
 
 def _compute_perturb(scenario: Scenario) -> dict:
+    from . import perturbation
+
     params = scenario.parameters["params"]
     rule = scenario.parameters["rule"]
     # the closed form first: a coupling whose M^4 leaves the range of a
@@ -635,6 +686,8 @@ def _emit_perturb(result: dict, scenario: Scenario, out_dir: Path) -> List[Path]
 
 
 def _compute_rates(scenario: Scenario) -> dict:
+    from . import estimates
+
     params = scenario.parameters
     rows = []
     reports = []

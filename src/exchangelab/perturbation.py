@@ -46,6 +46,8 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .errors import SingularityError
+
 __all__ = [
     "SingularityError",
     "WidthRule",
@@ -65,10 +67,6 @@ WIDTH_SELECTORS = ("none", "excited-atom-states", "exchanged-photon-ground-state
 
 #: Reference-gap threshold, relative to the problem's energy scale.
 GAP_TOLERANCE = 1e-9
-
-
-class SingularityError(RuntimeError):
-    """An intermediate level (nearly) degenerate with the reference."""
 
 
 @dataclass(frozen=True)

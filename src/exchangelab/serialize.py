@@ -11,8 +11,6 @@ from __future__ import annotations
 import os
 from typing import Iterable, List, Sequence
 
-import numpy as np
-
 __all__ = ["format_float", "format_floats", "dumps_json", "write_json",
            "write_csv"]
 
@@ -33,6 +31,8 @@ def format_floats(values) -> List[str]:
     turns ``-0.0`` (the only value rendered ``-0``) into ``0.0``, so each
     entry costs one formatting step and renders the same text.
     """
+    import numpy as np
+
     values = np.asarray(values, dtype=float) + 0.0
     if not np.isfinite(values).all():
         raise ValueError("cannot serialize non-finite float")

@@ -5,6 +5,7 @@ import copy
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -14,6 +15,8 @@ from textwrap import dedent
 
 import pytest
 import yaml
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import numpy as np
 
@@ -475,6 +478,51 @@ def test_grid_count_is_capped_before_allocation(tmp_path, monkeypatch, capsys):
     assert "durations.count" in capsys.readouterr().err
 
 
+def test_grid_span_beyond_a_double_is_refused(tmp_path, capsys):
+    message = ("parameters.values grid spans -1.7e+308 to 1.7e+308, a range "
+               "beyond a double")
+    data = {"kind": "sweep", "parameters": {
+        "parameter": "parameters.omega",
+        "values": {"start": -1.7e+308, "stop": 1.7e+308, "count": 3},
+        "base": _rates()}}
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        cli.validate_scenario(data)
+    path = tmp_path / "sweep.yaml"
+    path.write_text(yaml.safe_dump(data))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["sweep", "--scenario", str(path), "--out", str(tmp_path)])
+    assert code == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert caught == []
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_finite, _finite, st.integers(1, MAX_GRID_COUNT))
+@example(0.5, 7.0, 1)
+@example(-3.0, 2.0, 1)
+@example(2.5, 2.5, 7)
+@example(3.0, -1.0, 5)
+@example(1.0e300, -1.0e300, MAX_GRID_COUNT)
+@example(-0.0, 0.0, 3)
+@example(0.0, -0.0, 3)
+@example(-0.0, -0.0, 1)
+@example(-0.0, 1.0, 4)
+@example(5e-324, 1e-322, 4)
+@example(0.0, 5e-324, 3)            # the step underflows to zero
+@example(-5e-324, 5e-324, MAX_GRID_COUNT)
+@example(2.2250738585072014e-308, 0.0, 9)
+def test_grid_matches_numpy_linspace(start, stop, count):
+    assume(math.isfinite(stop - start))     # refused at validation otherwise
+    grid = cli._value_list({"start": start, "stop": stop, "count": count}, "grid")
+    want = np.linspace(start, stop, count)
+    assert [x.hex() for x in grid] == [float(x).hex() for x in want]
+
+
 def test_parallel_is_capped_before_threads_start(tmp_path, monkeypatch, capsys):
     _refuse_compute(monkeypatch, "perturb")
     scenario = str(SCENARIOS / "sweep_perturb_width.yaml")
@@ -600,7 +648,7 @@ def test_schedule_run_is_bounded_before_allocation(tmp_path, monkeypatch,
     def refuse(*args, **kwargs):
         raise AssertionError("an oversized schedule-run reached the basis")
 
-    monkeypatch.setattr(cli, "enumerate_basis", refuse)
+    monkeypatch.setattr(hilbert, "enumerate_basis", refuse)
     _refuse_compute(monkeypatch, "simulate")
     # No sector has dimension exactly 2048: one atom gives 2 * quanta + 1.
     assert MAX_SECTOR_DIM == 2048
@@ -829,6 +877,40 @@ def test_atom_count_is_bounded_at_validation(tmp_path, monkeypatch, capsys):
         assert main(["perturb", "--scenario", str(path),
                      "--out", str(tmp_path)]) == 1
         assert f"parameters.atoms must be <= {MAX_ATOMS}" in capsys.readouterr().err
+
+
+def _tavis_cummings(kind, atoms):
+    model = {"type": "tavis-cummings", "atoms": atoms}
+    if kind == "gate":
+        return {"kind": kind, "model": model, "schedule": {"preset": "three-pulse"}}
+    return {"kind": kind, "model": model, "parameters": {"theta": 0.5}}
+
+
+@pytest.mark.parametrize("kind", ["gate", "five-pulse"])
+def test_model_atom_count_is_bounded_at_validation(tmp_path, monkeypatch,
+                                                   capsys, kind):
+    path = tmp_path / "atoms.yaml"
+    path.write_text(yaml.safe_dump(_tavis_cummings(kind, MAX_ATOMS)))
+    assert main([kind, "--scenario", str(path), "--out", str(tmp_path)]) == 0
+    _refuse_compute(monkeypatch, kind)
+    for atoms in (MAX_ATOMS + 1, 10**400):
+        path.write_text(yaml.safe_dump(_tavis_cummings(kind, atoms)))
+        assert main([kind, "--scenario", str(path), "--out", str(tmp_path)]) == 1
+        assert (f"error: model.atoms must be <= {MAX_ATOMS}, got {atoms}"
+                in capsys.readouterr().err)
+
+
+def test_gate_sweep_over_too_many_atoms_has_a_validation_error_row(tmp_path):
+    path = tmp_path / "sweep.yaml"
+    path.write_text(yaml.safe_dump({"kind": "sweep", "parameters": {
+        "parameter": "model.atoms", "values": [2, 10**400],
+        "base": _tavis_cummings("gate", 2)}}))
+    assert main(["sweep", "--scenario", str(path), "--out", str(tmp_path)]) == 0
+    _, rows = _read_csv(tmp_path / "sweep.csv")
+    assert [row[2] for row in rows] == ["ok", "validation-error"]
+    [failed] = json.loads((tmp_path / "run.meta.json").read_text())["failed_points"]
+    assert failed["error"].startswith(
+        f"ScenarioError: model.atoms must be <= {MAX_ATOMS}, got 1000")
 
 
 # ---------------------------------------------------------------------------

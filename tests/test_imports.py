@@ -2,7 +2,9 @@
 (``scipy.linalg``; the two-level probes, lossy or not, use a closed form,
 and no path loads ``scipy.optimize``), and
 ``concurrent.futures`` on none (sweep points run in order).  The CLI reads
-scenarios with PyYAML's libyaml loader wherever PyYAML has one.
+scenarios with PyYAML's libyaml loader wherever PyYAML has one.  Importing
+``exchangelab.cli`` loads no compute module and no numpy; a CLI run loads
+only the compute modules of its kind, so ``rates`` runs without numpy.
 
 Each check runs in a fresh interpreter, since the test process itself has
 long since imported scipy through other tests.
@@ -13,6 +15,9 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from textwrap import dedent
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -86,12 +91,23 @@ print(json.dumps({"loss": loss, "survival": [p for _, p in scan],
 """
 
 
-def _fresh_run(script, tmp_path):
+_CLI_RUN = """
+import json, sys
+import exchangelab.cli as cli
+on_import = sorted(sys.modules)
+code = cli.main([sys.argv[3], "--scenario", sys.argv[4], "--out", sys.argv[2]])
+print(json.dumps({"code": code, "on_import": on_import,
+                  "modules": sorted(sys.modules)}))
+"""
+
+
+def _fresh_run(script, tmp_path, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", script, str(ROOT / "scenarios"), str(tmp_path)],
+        [sys.executable, "-c", script, str(ROOT / "scenarios"), str(tmp_path),
+         *args],
         env=env, capture_output=True, text=True, timeout=120, check=True)
     return json.loads(done.stdout.strip().splitlines()[-1])
 
@@ -123,3 +139,88 @@ def test_two_level_probes_load_no_scipy(tmp_path):
     assert 0.0 < out["loss"] < 1.0
     assert out["survival"][0] == 1.0
     assert out["scipy"] == []
+
+
+_COMPUTE = {f"exchangelab.{name}" for name in
+            ("hilbert", "dynamics", "gates", "perturbation", "estimates")}
+
+_RATES_ABSENT = {"numpy", "exchangelab.hilbert", "exchangelab.dynamics",
+                 "exchangelab.gates", "exchangelab.perturbation"}
+
+_RATES_SWEEP = """
+kind: sweep
+parameters:
+  parameter: parameters.omega
+  values: {start: 1.0e+15, stop: 3.0e+15, count: 3}
+  base:
+    kind: rates
+    parameters: {density: 1.0e+24, omega: 2.4e+15, dipole: 3.0e-29,
+                 detuning: 1.0e+12, rabi: 1.0e+11, gamma: 1.0e+8,
+                 wavenumber: 8.0e+6, t2: 1.0e-6}
+"""
+
+#: delta_1 = -delta_2 makes a fourth-order denominator vanish.
+_SINGULAR_PERTURB = """
+kind: perturb
+parameters: {coupling: 0.05, atoms: 2, delta_1: 1.0, delta_2: -1.0,
+             delta: 1.0, rule: {selector: none}}
+"""
+
+_SINGULAR_SWEEP = """
+kind: sweep
+parameters:
+  parameter: parameters.delta_2
+  values: [0.9, -1.0]
+  base:
+    kind: perturb
+    parameters: {coupling: 0.05, atoms: 2, delta_1: 1.0, delta_2: 0.9,
+                 delta: 1.0, rule: {selector: none}}
+"""
+
+
+def _cli_run(tmp_path, kind, scenario):
+    """Run one CLI call in a fresh interpreter; ``scenario`` is a file of
+    ``scenarios/`` or the text of a document."""
+    if scenario.endswith(".yaml"):
+        path = ROOT / "scenarios" / scenario
+    else:
+        path = tmp_path / "scenario.yaml"
+        path.write_text(dedent(scenario))
+    return _fresh_run(_CLI_RUN, tmp_path / "out", kind, str(path))
+
+
+@pytest.mark.parametrize("kind, scenario, absent", [
+    ("rates", "rates_high_density.yaml", _RATES_ABSENT),
+    ("sweep", _RATES_SWEEP, _RATES_ABSENT),
+    ("perturb", "perturb_none.yaml",
+     {"exchangelab.dynamics", "exchangelab.gates"}),
+    ("gate", "gate_three_pulse.yaml",
+     {"exchangelab.perturbation", "exchangelab.estimates"}),
+    ("five-pulse", "five_pulse.yaml",
+     {"exchangelab.perturbation", "exchangelab.estimates"}),
+    ("simulate", "transmission.yaml",
+     {"exchangelab.perturbation", "exchangelab.estimates"}),
+    ("simulate", "schedule_run.yaml",
+     {"exchangelab.perturbation", "exchangelab.estimates"}),
+], ids=["rates", "rates-sweep", "perturb", "gate", "five-pulse", "transmission",
+        "schedule-run"])
+def test_a_run_loads_only_the_modules_of_its_kind(tmp_path, kind, scenario,
+                                                   absent):
+    out = _cli_run(tmp_path, kind, scenario)
+    assert not set(out["on_import"]) & (_COMPUTE | {"numpy", "difflib"})
+    assert out["code"] == 0
+    assert not absent & set(out["modules"])
+
+
+def test_numerical_failures_are_caught_without_dynamics(tmp_path):
+    out = _cli_run(tmp_path, "perturb", _SINGULAR_PERTURB)
+    assert out["code"] == 2
+    assert "exchangelab.dynamics" not in out["modules"]
+    out = _cli_run(tmp_path, "sweep", _SINGULAR_SWEEP)
+    assert out["code"] == 0
+    assert "exchangelab.dynamics" not in out["modules"]
+    rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[2] for row in rows] == ["ok", "numerical-error"]
+    [failed] = json.loads(
+        (tmp_path / "out" / "run.meta.json").read_text())["failed_points"]
+    assert failed["error"].startswith("SingularityError: ")
