@@ -40,7 +40,7 @@ from typing import (TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional,
 import yaml
 
 from .errors import NoDynamicsError, SingularityError
-from .serialize import ensure_dir, write_csv, write_json
+from .serialize import write_csv, write_json
 
 if TYPE_CHECKING:
     from .dynamics import PulseSegment
@@ -63,7 +63,8 @@ MAX_SECTOR_DIM = 2048
 #: Largest ``model.atoms`` of a dynamics scenario and ``parameters.atoms``
 #: of a ``perturb`` one: far above paper-scale clouds, exactly a double,
 #: and far enough inside int64 that the symmetric-sector member counts
-#: cannot overflow.
+#: cannot overflow.  It also caps a ``perturb`` scenario's photon numbers
+#: ``parameters.n_1`` and ``n_2``, which its basis stores as int64.
 MAX_ATOMS = 10**15
 
 #: What computing a validated scenario may raise on awkward numbers: a
@@ -424,7 +425,8 @@ def _parse_perturb(data: dict, scenario: Scenario) -> None:
                                          strict_min=0.0)
     for key in ("n_1", "n_2"):
         if key in params:
-            kwargs[key] = _integer(params[key], f"parameters.{key}", minimum=1)
+            kwargs[key] = _integer(params[key], f"parameters.{key}", minimum=1,
+                                   maximum=MAX_ATOMS)
     if kwargs["delta_1"] == kwargs["delta_2"]:
         _fail("parameters.delta_1 and delta_2 must differ")
     try:
@@ -810,7 +812,7 @@ def _run_sweep(scenario: Scenario, out_dir: Path) -> Tuple[int, List[dict]]:
 def run_scenario(scenario: Scenario, out_dir) -> int:
     """Execute a validated scenario, writing artifacts into out_dir."""
     out_dir = Path(out_dir)
-    ensure_dir(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     meta = {"schema_version": 1, "kind": scenario.kind}
     entry = _KINDS[scenario.kind]
     if entry.compute is None:
@@ -870,6 +872,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return run_scenario(scenario, args.out)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"error: cannot write outputs: {exc}", file=sys.stderr)
         return 1
     except _NUMERICAL_ERRORS as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)

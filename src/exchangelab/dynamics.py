@@ -5,8 +5,7 @@ constant Hamiltonian applied for a fixed duration with sudden switching
 in between.  Segments may carry one exchange coupling, per-mode diagonal
 detunings (energy per quantum), and decay widths entering the diagonal
 as -i w.  Per-mode widths multiply the occupation, matching the
-convention that each quantum in a damped mode decays independently;
-per-state widths are flat.
+convention that each quantum in a damped mode decays independently.
 
 Time convention for pulse areas: a pi transition (complete transfer of
 a single quantum) corresponds to g t = pi / 2, a 2 pi transition to
@@ -24,7 +23,6 @@ import numpy as np
 
 from .errors import NoDynamicsError
 from .hilbert import (
-    BasisState,
     HilbertBasis,
     OperatorMatrix,
     exchange_coupling,
@@ -62,15 +60,12 @@ class PulseSegment:
         Diagonal energy added per quantum of the mode.
     widths : mapping label -> float
         Non-negative decay width per quantum, entering as -i w n.
-    state_widths : mapping occupation tuple -> float
-        Flat -i w on individual basis states.
     """
 
     duration: float
     coupling: Optional[Tuple[str, str, float]] = None
     detunings: Mapping[str, float] = field(default_factory=dict)
     widths: Mapping[str, float] = field(default_factory=dict)
-    state_widths: Mapping[BasisState, float] = field(default_factory=dict)
 
     def __post_init__(self):
         if not np.isfinite(self.duration) or self.duration < 0:
@@ -84,20 +79,13 @@ class PulseSegment:
         for label, w in self.widths.items():
             if w < 0:
                 raise ValueError(f"width for mode {label!r} must be non-negative")
-        for state, w in self.state_widths.items():
-            if w < 0:
-                raise ValueError(f"width for state {tuple(state)} must be non-negative")
         object.__setattr__(self, "detunings", dict(self.detunings))
         object.__setattr__(self, "widths", dict(self.widths))
-        object.__setattr__(
-            self, "state_widths",
-            {tuple(s): float(w) for s, w in self.state_widths.items()},
-        )
 
     @property
     def lossless(self) -> bool:
-        """True when no mode or state carries a non-zero width."""
-        return not any(self.widths.values()) and not any(self.state_widths.values())
+        """True when no mode carries a non-zero width."""
+        return not any(self.widths.values())
 
 
 def segment_hamiltonian(basis: HilbertBasis, segment: PulseSegment) -> OperatorMatrix:
@@ -113,10 +101,6 @@ def segment_hamiltonian(basis: HilbertBasis, segment: PulseSegment) -> OperatorM
         diag += shift * occ[:, basis.mode_position(label)]
     for label, w in segment.widths.items():
         diag += -1j * w * occ[:, basis.mode_position(label)]
-    for state, w in segment.state_widths.items():
-        if tuple(state) not in basis:
-            raise KeyError(f"state width refers to {tuple(state)}, not in basis")
-        diag[basis.index(tuple(state))] += -1j * w
     matrix[np.diag_indices(basis.dim)] += diag
     return OperatorMatrix(basis, matrix, hermitian=segment.lossless)
 

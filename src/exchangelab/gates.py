@@ -26,21 +26,17 @@ from .hilbert import (
     enumerate_basis,
     photon_mode,
 )
-from .serialize import dumps_json
 
 __all__ = [
     "ExchangeModel",
     "LogicalEncoding",
     "GateReport",
-    "TwoModeState",
-    "SchmidtReport",
     "FivePulseLeakage",
     "three_pulse_schedule",
     "extract_gate",
     "single_quantum_transfer",
     "is_entangling",
     "conditional_phase_defect",
-    "schmidt_analysis",
     "five_pulse_leakage",
     "stimulated_couplings",
 ]
@@ -161,9 +157,6 @@ class GateReport:
                 [[complex(x) for x in row] for row in b],
             ]
         return payload
-
-    def to_json(self) -> str:
-        return dumps_json(self.to_payload())
 
 
 def extract_gate(schedule: Sequence[PulseSegment], encoding: LogicalEncoding,
@@ -288,62 +281,6 @@ def conditional_phase_defect(u: np.ndarray) -> float:
     phases = np.angle(diag)
     defect = phases[0] - phases[1] - phases[2] + phases[3]
     return float(math.remainder(defect, 2.0 * math.pi))
-
-
-@dataclass(frozen=True)
-class TwoModeState:
-    """Joint amplitudes psi(n1, n2) of two photon modes up to a cutoff."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.ndim != 2 or amps.size == 0:
-            raise ValueError("amplitudes must form a non-empty 2-D array")
-        if not np.isfinite(amps).all():
-            raise ValueError("amplitudes must be finite")
-        object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-
-class SchmidtReport(NamedTuple):
-    rank: int
-    entropy: float
-    coefficients: np.ndarray
-    factors: Optional[Tuple[np.ndarray, np.ndarray]]
-
-
-def schmidt_analysis(state: TwoModeState) -> SchmidtReport:
-    """Schmidt decomposition of a two-mode pure state.
-
-    Returns the number of singular values above 1e-9, the entanglement
-    entropy in bits, the full coefficient list, and, for rank 1, the
-    two single-mode factor vectors whose outer product reconstructs the
-    state.
-    """
-    psi = state.amplitudes
-    norm = state.norm
-    if norm == 0.0:
-        raise ValueError("cannot analyse the zero state")
-    if abs(norm - 1.0) > 1e-9:
-        raise ValueError(f"state norm {norm!r} is not 1 within 1e-9")
-    psi = psi / norm
-    left, sv, right = np.linalg.svd(psi)
-    rank = int(np.sum(sv > 1e-9))
-    weights = sv[sv > 1e-9] ** 2
-    entropy = float(-np.sum(weights * np.log2(weights)))
-    factors = None
-    if rank == 1:
-        a = left[:, 0]
-        b = sv[0] * right[0, :]
-        pivot = a[int(np.argmax(np.abs(a)))]
-        phase = pivot / abs(pivot)
-        factors = (a * phase.conjugate(), b * phase)
-    return SchmidtReport(rank=rank, entropy=entropy, coefficients=sv,
-                         factors=factors)
 
 
 class FivePulseLeakage(NamedTuple):

@@ -31,11 +31,8 @@ __all__ = [
     "enumerate_basis",
     "OperatorMatrix",
     "exchange_coupling",
-    "total_quanta_operator",
     "AtomCloud",
     "dicke_matrix_element",
-    "basis_to_csv",
-    "operator_to_csv",
     "HERMITIAN_TOL",
 ]
 
@@ -240,23 +237,6 @@ class OperatorMatrix:
         self.matrix = matrix
         self.hermitian = bool(hermitian)
 
-    def apply(self, state: np.ndarray) -> np.ndarray:
-        state = np.asarray(state, dtype=complex)
-        if state.shape != (self.basis.dim,):
-            raise ValueError(
-                f"state has shape {state.shape}, expected ({self.basis.dim},)"
-            )
-        return self.matrix @ state
-
-    def element(self, bra: BasisState, ket: BasisState) -> complex:
-        return complex(self.matrix[self.basis.index(bra), self.basis.index(ket)])
-
-    def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        if other.basis is not self.basis and other.basis.states != self.basis.states:
-            raise ValueError("operators act on different bases")
-        return OperatorMatrix(self.basis, self.matrix + other.matrix,
-                              hermitian=self.hermitian and other.hermitian)
-
 
 def exchange_coupling(basis: HilbertBasis, mode_a: str, mode_b: str,
                       rate: float) -> OperatorMatrix:
@@ -296,12 +276,6 @@ def exchange_coupling(basis: HilbertBasis, mode_a: str, mode_b: str,
         amp = spec_a.raising_factor(state[ia]) * spec_b.lowering_factor(state[ib])
         half[basis.index(target), col] = rate * amp
     return OperatorMatrix(basis, half + half.conj().T, hermitian=True)
-
-
-def total_quanta_operator(basis: HilbertBasis) -> OperatorMatrix:
-    """Diagonal operator counting the total occupation of each state."""
-    totals = basis.occupations().sum(axis=1).astype(complex)
-    return OperatorMatrix(basis, np.diag(totals), hermitian=True)
 
 
 @dataclass(frozen=True)
@@ -362,23 +336,3 @@ def dicke_matrix_element(cloud: AtomCloud, k_photon, k_laser=None,
         q = k_photon - k_laser
     phases = cloud.positions @ q
     return complex(coupling / math.sqrt(cloud.size) * np.exp(1j * phases).sum())
-
-
-def basis_to_csv(basis: HilbertBasis, path) -> None:
-    """Debug dump: one row per state with its occupations."""
-    from .serialize import write_csv
-
-    header = ["index"] + [m.label for m in basis.modes]
-    rows = [[i, *state] for i, state in enumerate(basis.states)]
-    write_csv(path, header, rows)
-
-
-def operator_to_csv(op: OperatorMatrix, path) -> None:
-    """Debug dump of nonzero entries as (row, col, re, im)."""
-    from .serialize import write_csv
-
-    rows = []
-    for (r, c) in zip(*np.nonzero(op.matrix)):
-        val = op.matrix[r, c]
-        rows.append([int(r), int(c), val.real, val.imag])
-    write_csv(path, ["row", "col", "re", "im"], rows)

@@ -58,7 +58,6 @@ __all__ = [
     "build_problem",
     "rspt_energy",
     "cross_fit",
-    "cross_coefficient",
     "franson_formula",
 ]
 
@@ -451,11 +450,6 @@ def cross_fit(params: CollisionModelParams, rule: WidthRule) -> CrossFit:
         path_scale=path_scale,
         grid=totals,
     )
-
-
-def cross_coefficient(params: CollisionModelParams, rule: WidthRule) -> complex:
-    """The n1*n2 pair coefficient of the fourth-order energy."""
-    return cross_fit(params, rule).value
 
 
 def franson_formula(params: CollisionModelParams) -> Tuple[complex, complex]:

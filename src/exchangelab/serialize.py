@@ -8,7 +8,6 @@ Complex numbers are serialized as two-element [re, im] arrays.
 
 from __future__ import annotations
 
-import os
 from typing import Iterable, List, Sequence
 
 __all__ = ["format_float", "format_floats", "dumps_json", "write_json",
@@ -140,8 +139,3 @@ def write_csv_lines(path, header: Sequence[str], lines: Iterable[str]) -> None:
     """Write a CSV whose data lines are already rendered."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join([",".join(header), *lines]) + "\n")
-
-
-def ensure_dir(path) -> None:
-    if path and not os.path.isdir(path):
-        os.makedirs(path, exist_ok=True)

@@ -16,7 +16,7 @@ import numpy as np
 from exchangelab.dynamics import (NoDynamicsError, PulseSegment, Trajectory,
                                   _as_vector)
 from exchangelab.gates import ExchangeModel
-from exchangelab.hilbert import OperatorMatrix
+from exchangelab.hilbert import BasisState, HilbertBasis, OperatorMatrix
 from exchangelab.perturbation import (CollisionModelParams, PerturbationProblem,
                                       WidthRule)
 from exchangelab.serialize import write_csv
@@ -139,6 +139,16 @@ def random_unitary_2x2(rng: np.random.Generator) -> np.ndarray:
 def stars_and_bars(sector: int, modes: int) -> int:
     """Number of occupation tuples of `modes` nonnegative ints summing to sector."""
     return math.comb(sector + modes - 1, modes - 1)
+
+
+def total_quanta(basis: HilbertBasis) -> np.ndarray:
+    """Diagonal matrix of the total occupation of each basis state."""
+    return np.diag(basis.occupations().sum(axis=1))
+
+
+def matrix_element(op: OperatorMatrix, bra: BasisState, ket: BasisState) -> complex:
+    """<bra| op |ket> for two occupation tuples of the operator's basis."""
+    return complex(op.matrix[op.basis.index(bra), op.basis.index(ket)])
 
 
 def fit_bilinear(points: Sequence[Tuple[float, float]], values: Sequence[complex]):

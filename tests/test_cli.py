@@ -730,6 +730,17 @@ def test_sweep_work_is_capped_before_compute(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "sweep.csv").exists()
 
 
+def test_unusable_out_exits_1_before_compute(tmp_path, monkeypatch, capsys):
+    _refuse_compute(monkeypatch, "gate")
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory\n")
+    for out in (blocker, blocker / "sub"):
+        assert main(["gate", "--scenario", str(SCENARIOS / "gate_three_pulse.yaml"),
+                     "--out", str(out)]) == 1
+        assert "error: cannot write outputs: " in capsys.readouterr().err
+    assert blocker.read_text() == "a file, not a directory\n"
+
+
 def test_missing_scenario_file_exits_1(tmp_path, capsys):
     code = main(["gate", "--scenario", str(tmp_path / "nope.yaml"),
                  "--out", str(tmp_path)])
@@ -877,6 +888,19 @@ def test_atom_count_is_bounded_at_validation(tmp_path, monkeypatch, capsys):
         assert main(["perturb", "--scenario", str(path),
                      "--out", str(tmp_path)]) == 1
         assert f"parameters.atoms must be <= {MAX_ATOMS}" in capsys.readouterr().err
+
+
+def test_photon_numbers_are_bounded_at_validation(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "photons.yaml"
+    path.write_text(yaml.safe_dump(_perturb(n_1=MAX_ATOMS, n_2=MAX_ATOMS)))
+    assert main(["perturb", "--scenario", str(path), "--out", str(tmp_path)]) == 0
+    _refuse_compute(monkeypatch, "perturb")
+    for key in ("n_1", "n_2"):
+        path.write_text(yaml.safe_dump(_perturb(**{key: 10**19})))
+        assert main(["perturb", "--scenario", str(path),
+                     "--out", str(tmp_path)]) == 1
+        assert (f"error: parameters.{key} must be <= {MAX_ATOMS}, got {10**19}"
+                in capsys.readouterr().err)
 
 
 def _tavis_cummings(kind, atoms):

@@ -28,11 +28,10 @@ from exchangelab.hilbert import (
     enumerate_basis,
     exchange_coupling,
     photon_mode,
-    total_quanta_operator,
 )
 
 from oracles import (random_hermitian, rowwise_trajectory_csv,
-                     scanning_rabi_frequency, series_propagator)
+                     scanning_rabi_frequency, series_propagator, total_quanta)
 
 
 def _beamsplitter_basis():
@@ -92,16 +91,6 @@ def test_segment_hamiltonian_matrix():
     assert_allclose(gen.matrix, expected)
 
 
-def test_state_widths_target_specific_states():
-    basis = _beamsplitter_basis()
-    seg = PulseSegment(duration=1.0, state_widths={(1, 0): 0.5})
-    gen = segment_hamiltonian(basis, seg)
-    assert_allclose(gen.matrix, np.diag([0.0, -0.5j]))
-    missing = PulseSegment(duration=1.0, state_widths={(2, 0): 0.5})
-    with pytest.raises(KeyError):
-        segment_hamiltonian(basis, missing)
-
-
 def test_oracle_equivalence_random_generators():
     rng = np.random.default_rng(11)
     for _ in range(25):
@@ -156,7 +145,6 @@ def test_segment_validation():
     assert seg.lossless
     lossy = PulseSegment(duration=1.0, widths={"a": 0.1})
     assert not lossy.lossless
-    assert not PulseSegment(duration=1.0, state_widths={(1, 0): 0.1}).lossless
 
 
 def test_zero_widths_stay_on_the_hermitian_path(monkeypatch):
@@ -169,8 +157,7 @@ def test_zero_widths_stay_on_the_hermitian_path(monkeypatch):
                         detunings={"collective": 0.5})
     bare_bytes = run_schedule([bare], basis, (1, 0, 0)).states.tobytes()
     for extra in ({"widths": {"collective": 0.0}},
-                  {"widths": {"photon_1": 0.0, "collective": 0.0}},
-                  {"state_widths": {(0, 0, 1): 0.0}}):
+                  {"widths": {"photon_1": 0.0, "collective": 0.0}}):
         seg = PulseSegment(duration=1.3, coupling=coupling,
                            detunings={"collective": 0.5}, **extra)
         assert seg.lossless
@@ -210,7 +197,7 @@ def test_run_schedule_samples_and_conservation():
     assert np.all(np.diff(traj.times) >= 0)
     # lossless schedule: norm and total quanta stay put at every sample
     assert_allclose(traj.norms, 1.0, atol=1e-12)
-    number = total_quanta_operator(basis).matrix
+    number = total_quanta(basis)
     for state in traj.states:
         assert np.vdot(state, number @ state).real == pytest.approx(2.0, abs=1e-12)
     assert_allclose(traj.final_state, final_state(schedule, basis, (1, 1, 0)), atol=1e-12)

@@ -12,16 +12,15 @@ from exchangelab.gates import (
     ExchangeModel,
     LogicalEncoding,
     THREE_PULSE_TARGET,
-    TwoModeState,
     conditional_phase_defect,
     extract_gate,
     five_pulse_leakage,
     is_entangling,
-    schmidt_analysis,
     single_quantum_transfer,
     stimulated_couplings,
     three_pulse_schedule,
 )
+from exchangelab.serialize import dumps_json
 
 from oracles import random_product_schedule, random_unitary_2x2
 
@@ -89,7 +88,7 @@ def test_finite_atoms_deviation_decreases():
 def test_gate_report_payload_roundtrip():
     model = ExchangeModel()
     report = extract_gate(three_pulse_schedule(model, rate=1.0), LogicalEncoding(), model)
-    payload = json.loads(report.to_json())
+    payload = json.loads(dumps_json(report.to_payload()))
     assert payload["schema_version"] == 1
     assert payload["kind"] == "gate_report"
     assert payload["entangling"] is False
@@ -164,62 +163,6 @@ def test_conditional_phase_defect_examples():
     hopper[0, 0] = hopper[3, 3] = 1.0
     hopper[1, 2] = hopper[2, 1] = 1.0
     assert math.isnan(conditional_phase_defect(hopper))
-
-
-# ---------------------------------------------------------------------------
-# Schmidt analysis of two-mode photon states
-# ---------------------------------------------------------------------------
-
-
-def test_schmidt_product_state():
-    amplitudes = np.zeros((2, 2), dtype=complex)
-    amplitudes[1, 1] = 1.0
-    report = schmidt_analysis(TwoModeState(amplitudes))
-    assert report.rank == 1
-    assert report.entropy == pytest.approx(0.0, abs=1e-12)
-    factor_1, factor_2 = report.factors
-    assert_allclose(np.outer(factor_1, factor_2), amplitudes, atol=1e-12)
-
-
-def test_schmidt_bell_state():
-    amplitudes = np.zeros((2, 2), dtype=complex)
-    amplitudes[0, 0] = amplitudes[1, 1] = 1.0 / math.sqrt(2.0)
-    report = schmidt_analysis(TwoModeState(amplitudes))
-    assert report.rank == 2
-    assert report.entropy == pytest.approx(1.0, abs=1e-12)
-    assert report.factors is None
-    assert_allclose(sorted(report.coefficients), [1 / math.sqrt(2)] * 2, atol=1e-12)
-
-
-def test_schmidt_two_photon_superposition():
-    # (|2, 0> + |0, 2>) / sqrt(2) in occupation amplitudes
-    amplitudes = np.zeros((3, 3), dtype=complex)
-    amplitudes[2, 0] = amplitudes[0, 2] = 1.0 / math.sqrt(2.0)
-    report = schmidt_analysis(TwoModeState(amplitudes))
-    assert report.rank == 2
-    assert report.entropy == pytest.approx(1.0, abs=1e-12)
-
-
-def test_schmidt_random_product_states_have_rank_one():
-    rng = np.random.default_rng(23)
-    for _ in range(10):
-        a = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        b = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        amplitudes = np.outer(a, b)
-        amplitudes /= np.linalg.norm(amplitudes)
-        report = schmidt_analysis(TwoModeState(amplitudes))
-        assert report.rank == 1
-        assert report.entropy == pytest.approx(0.0, abs=1e-9)
-        assert_allclose(np.outer(*report.factors), amplitudes, atol=1e-9)
-
-
-def test_schmidt_validation():
-    with pytest.raises(ValueError):
-        TwoModeState(np.zeros((0, 2), dtype=complex))
-    with pytest.raises(ValueError):
-        schmidt_analysis(TwoModeState(np.zeros((2, 2), dtype=complex)))
-    with pytest.raises(ValueError):
-        schmidt_analysis(TwoModeState(np.full((2, 2), 0.5 + 0j) * 3.0))
 
 
 # ---------------------------------------------------------------------------

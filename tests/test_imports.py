@@ -10,8 +10,10 @@ Each check runs in a fresh interpreter, since the test process itself has
 long since imported scipy through other tests.
 """
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -70,16 +72,22 @@ print(json.dumps({"codes": {"lossy.yaml": code},
                   "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
 """
 
-_README_RABI = """
-import json, sys
-from exchangelab.hilbert import (photon_mode, collective_mode,
-                                 enumerate_basis, exchange_coupling)
-from exchangelab.dynamics import rabi_frequency
-basis = enumerate_basis([photon_mode("field"), collective_mode("atoms")], 2)
-coupling = exchange_coupling(basis, "field", "atoms", rate=1.0)
-print(json.dumps({"frequency": rabi_frequency(coupling, (1, 1)),
+_README_TOUR = """
+import contextlib, io, json, sys
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    exec(sys.argv[3], {"__name__": "__main__"})
+print(json.dumps({"lines": out.getvalue().splitlines(),
                   "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
 """
+
+
+def _readme_tour() -> str:
+    """The fenced code block under the README's "Python API tour" heading."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Python API tour\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("\n```", 1)[0]
+
 
 _TWO_LEVEL_PROBES = """
 import json, sys
@@ -128,9 +136,12 @@ def test_lossy_segment_loads_scipy_linalg(tmp_path):
     assert (tmp_path / "trajectory.csv").is_file()
 
 
-def test_readme_rabi_example_loads_no_scipy(tmp_path):
-    out = _fresh_run(_README_RABI, tmp_path)
-    assert abs(out["frequency"] - 4.0) < 1e-12
+def test_readme_api_tour_runs_without_scipy(tmp_path):
+    out = _fresh_run(_README_TOUR, tmp_path, _readme_tour())
+    assert abs(float(out["lines"][0]) - 4.0) < 1e-12
+    gate_line = next(line for line in out["lines"]
+                     if line.endswith(("True", "False")))
+    assert gate_line.endswith("False")
     assert out["scipy"] == []
 
 
@@ -224,3 +235,25 @@ def test_numerical_failures_are_caught_without_dynamics(tmp_path):
     [failed] = json.loads(
         (tmp_path / "out" / "run.meta.json").read_text())["failed_points"]
     assert failed["error"].startswith("SingularityError: ")
+
+
+
+def _package_modules():
+    import exchangelab
+
+    return ["exchangelab"] + [f"exchangelab.{info.name}" for info
+                              in pkgutil.iter_modules(exchangelab.__path__)]
+
+
+_MODULES = _package_modules()
+
+
+@pytest.mark.parametrize("name", _MODULES)
+def test_every_public_name_exists(name):
+    # perfbench's tracer wraps each ``__all__`` entry and skips a missing one
+    # silently, so a stale entry would drop a layer from its timings.  The
+    # package lists its submodules, which are attributes once imported.
+    for module in _MODULES:
+        importlib.import_module(module)
+    module = sys.modules[name]
+    assert [attr for attr in module.__all__ if not hasattr(module, attr)] == []

@@ -17,7 +17,6 @@ from exchangelab.perturbation import (
     SingularityError,
     WidthRule,
     build_problem,
-    cross_coefficient,
     cross_fit,
     franson_formula,
     rspt_energy,
@@ -285,7 +284,7 @@ def test_excited_state_widths_keep_cancellation():
 def test_exchanged_state_widths_break_cancellation():
     params = CollisionModelParams(coupling=0.1, atoms=2, delta_1=1.0, delta_2=0.9,
                                   width=0.01)
-    value = cross_coefficient(params, WidthRule("exchanged-photon-ground-states", 0.01))
+    value = cross_fit(params, WidthRule("exchanged-photon-ground-states", 0.01)).value
     fit = cross_fit(params, NONE_RULE)
     assert abs(value) > 1e3 * max(abs(fit.value), 1e-300)
     # the residue is predominantly imaginary: |Im / Re| tracks delta / w
@@ -299,7 +298,7 @@ def test_cross_shift_scales_with_atom_pairs():
     for atoms in (2, 3, 4):
         params = CollisionModelParams(coupling=0.1, atoms=atoms, delta_1=1.0,
                                       delta_2=0.9, width=0.01)
-        value = cross_coefficient(params, rule)
+        value = cross_fit(params, rule).value
         pairs = atoms * (atoms - 1) / 2.0
         per_pair.append(value / pairs)
     assert per_pair[1] == pytest.approx(per_pair[0], rel=1e-9)
@@ -316,9 +315,9 @@ def test_numeric_residue_approaches_closed_form():
         for delta_2, width in ((0.9, 1e-3), (0.99, 1e-5)):
             params = CollisionModelParams(coupling=0.1, atoms=atoms, delta_1=1.0,
                                           delta_2=delta_2, width=width)
-            numeric = cross_coefficient(
+            numeric = cross_fit(
                 params, WidthRule("exchanged-photon-ground-states", width)
-            )
+            ).value
             d_e, d_e_prime = franson_formula(params)
             worst = max(abs(numeric.real / d_e.real - target),
                         abs(numeric.imag / d_e_prime.imag - target))
@@ -378,7 +377,7 @@ def test_pair_scaling_holds_at_large_atom_counts():
     def per_pair(atoms):
         params = CollisionModelParams(coupling=0.1, atoms=atoms, delta_1=1.0,
                                       delta_2=0.9, width=rule.width)
-        return cross_coefficient(params, rule) / (atoms * (atoms - 1) / 2.0), params
+        return cross_fit(params, rule).value / (atoms * (atoms - 1) / 2.0), params
 
     base, _ = per_pair(2)
     for atoms in (100, 10 ** 4, 10 ** 6):
