@@ -14,8 +14,6 @@ The package is organized bottom-up:
     configurable complex level widths
 ``estimates``
     order-of-magnitude feasibility rates in SI units
-``errors``
-    the numerical failures of the compute modules, importable without numpy
 ``cli``
     scenario-file driven command line front end
 """
@@ -28,6 +26,5 @@ __all__ = [
     "gates",
     "perturbation",
     "estimates",
-    "errors",
     "cli",
 ]

@@ -13,16 +13,15 @@ payload files; the wall-clock timestamp lives in a ``run.meta.json``
 sidecar instead.
 
 Exit codes: 0 success, 1 validation error, 2 numerical failure
-(degenerate perturbation denominator, no detectable oscillation, a
-result outside the range of a double).
+(degenerate perturbation denominator, a result outside the range of a
+double).
 
 Importing this module loads no compute module and no numpy.  Each kind
 imports what it computes with the first time it is parsed or run:
 ``simulate``, ``gate`` and ``five-pulse`` load ``gates`` or ``dynamics``
 (with ``hilbert`` and numpy), ``perturb`` loads ``perturbation`` (with
 ``hilbert`` and numpy), and ``rates`` loads only ``estimates``, so a
-cold ``rates`` run never imports numpy.  The numerical failures caught
-here live in the numpy-free ``errors`` module.
+cold ``rates`` run never imports numpy.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ from typing import (TYPE_CHECKING, Callable, Dict, List, NamedTuple, Optional,
 
 import yaml
 
-from .errors import NoDynamicsError, SingularityError
 from .serialize import write_csv, write_json
 
 if TYPE_CHECKING:
@@ -68,10 +66,9 @@ MAX_SECTOR_DIM = 2048
 MAX_ATOMS = 10**15
 
 #: What computing a validated scenario may raise on awkward numbers: a
-#: degenerate denominator, no oscillation to measure, or an overflow or
-#: division that leaves the range of a double.
-_NUMERICAL_ERRORS = (SingularityError, NoDynamicsError, ValueError,
-                     ArithmeticError)
+#: degenerate denominator (``perturbation.SingularityError``), or an
+#: overflow, underflow or division that leaves the range of a double.
+_NUMERICAL_ERRORS = (ValueError, ArithmeticError)
 
 #: Deepest nesting of mappings and sequences in a scenario document.  The
 #: deepest valid document, a sweep over a ``schedule-run`` base, nests 8
@@ -115,10 +112,22 @@ def _require_mapping(value, context: str) -> dict:
     return value
 
 
+def _text_hint(value) -> str:
+    """A hint for text with an exponent that ``float()`` reads, else ''."""
+    if isinstance(value, str) and "e" in value.lower():
+        try:
+            float(value)
+        except ValueError:
+            return ""
+        return ("; YAML 1.1 reads this as text: write a dot and a signed "
+                "exponent, as in 1.0e-3")
+    return ""
+
+
 def _number(value, context: str, *, minimum=None, strict_min=None,
             allow_zero=True) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(f"{context} must be a number, got {value!r}")
+        _fail(f"{context} must be a number, got {value!r}{_text_hint(value)}")
     try:
         value = float(value)
     except OverflowError:
@@ -139,7 +148,7 @@ def _integer(value, context: str, *, minimum=None, maximum=None) -> int:
         if isinstance(value, float) and float(value).is_integer():
             value = int(value)
         else:
-            _fail(f"{context} must be an integer, got {value!r}")
+            _fail(f"{context} must be an integer, got {value!r}{_text_hint(value)}")
     if minimum is not None and value < minimum:
         _fail(f"{context} must be >= {minimum}, got {value!r}")
     if maximum is not None and value > maximum:
@@ -870,9 +879,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     try:
         return run_scenario(scenario, args.out)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except OSError as exc:
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)
         return 1

@@ -21,7 +21,6 @@ from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import NoDynamicsError
 from .hilbert import (
     HilbertBasis,
     OperatorMatrix,
@@ -44,6 +43,10 @@ __all__ = [
 #: Largest sample grid of :func:`phase_vs_loss`; a call at the cap peaks
 #: at ~88 MB of arrays (measured with ``tracemalloc``).
 MAX_PHASE_SAMPLES = 1_000_000
+
+
+class NoDynamicsError(RuntimeError):
+    """Raised when a probe finds no oscillation to measure."""
 
 
 @dataclass(frozen=True)

@@ -294,38 +294,27 @@ class StimulatedCouplings(NamedTuple):
     absorption: float
 
 
-def _pair_basis(model: ExchangeModel, sector: int) -> HilbertBasis:
-    modes = (collective_mode("collective", model.atoms), photon_mode("photon_2"))
-    return enumerate_basis(modes, sector)
-
-
 def five_pulse_leakage(model: ExchangeModel, theta: float,
                        rate: float = 1.0) -> FivePulseLeakage:
     """Populations after driving |1 excitation, 1 photon> for angle theta.
 
-    The state evolves in the three-level sector {2 excitations, 1+1,
-    2 photons} of the collective/photon-2 pair under the exchange
-    coupling; theta = g*t is the single-quantum mixing angle.  In the
-    bosonized limit the closed forms are P_two_photon = sin^2(2 theta)/2
-    and P_return = cos^2(2 theta).
+    theta = g*t.  With (a, b) the :func:`stimulated_couplings` into |0,2>
+    and |2,0> (excitations, photon-2 quanta), |1,1> couples only to the
+    bright state (b|2,0> + a|0,2>)/Omega, at Omega = hypot(a, b); the dark
+    state stays empty.  With phi = Omega*theta/g, P_return = cos^2 phi and
+    P_two_photon, P_two_excitation = (a/Omega)^2, (b/Omega)^2 x sin^2 phi.
     """
     if rate <= 0 or not np.isfinite(rate):
         raise ValueError("coupling rate must be positive and finite")
     if not np.isfinite(theta) or theta < 0:
         raise ValueError("mixing angle must be finite and non-negative")
-    basis = _pair_basis(model, 2)
-    segment = PulseSegment(
-        duration=theta / rate, coupling=("collective", "photon_2", rate)
-    )
-    out = final_state([segment], basis, (1, 1))
-
-    def population(occ):
-        return float(abs(out[basis.index(occ)]) ** 2) if occ in basis else 0.0
-
+    emission, absorption = stimulated_couplings(model, rate)
+    omega = math.hypot(emission, absorption)
+    phi = omega * (theta / rate)
     return FivePulseLeakage(
-        p_two_photon=population((0, 2)),
-        p_two_excitation=population((2, 0)),
-        p_return=population((1, 1)),
+        p_two_photon=(emission / omega * math.sin(phi)) ** 2,
+        p_two_excitation=(absorption / omega * math.sin(phi)) ** 2,
+        p_return=math.cos(phi) ** 2,
     )
 
 

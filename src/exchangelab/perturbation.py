@@ -46,8 +46,6 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import SingularityError
-
 __all__ = [
     "SingularityError",
     "WidthRule",
@@ -66,6 +64,10 @@ WIDTH_SELECTORS = ("none", "excited-atom-states", "exchanged-photon-ground-state
 
 #: Reference-gap threshold, relative to the problem's energy scale.
 GAP_TOLERANCE = 1e-9
+
+
+class SingularityError(ArithmeticError):
+    """An intermediate level (nearly) degenerate with the reference."""
 
 
 @dataclass(frozen=True)
@@ -132,6 +134,8 @@ class CollisionModelParams:
             raise ValueError("delta_1 and delta_2 must differ (closed forms diverge)")
         if self.delta is not None and (not np.isfinite(self.delta) or self.delta == 0.0):
             raise ValueError("delta must be finite and non-zero")
+        if self.reference_detuning == 0.0:
+            raise ValueError("delta_1 + delta_2 must be non-zero when delta is omitted")
         if not np.isfinite(self.width) or self.width < 0:
             raise ValueError("width must be finite and non-negative")
         if not 0.0 < self.raman_factor <= 1.0:
@@ -429,6 +433,8 @@ def cross_fit(params: CollisionModelParams, rule: WidthRule) -> CrossFit:
         totals[(n1, n2)] = full.order(4)
         singles[(n1, n2)] = single.order(4)
         path_scale = max(path_scale, float(full.diagnostics["max_path_term"]))
+    if path_scale == 0.0:
+        raise FloatingPointError("fourth-order path terms underflow to zero")
 
     coef_total, res_total = _fit_bilinear(totals)
     coef_single, res_single = _fit_bilinear(singles)

@@ -16,7 +16,9 @@ import numpy as np
 from exchangelab.dynamics import (NoDynamicsError, PulseSegment, Trajectory,
                                   _as_vector)
 from exchangelab.gates import ExchangeModel
-from exchangelab.hilbert import BasisState, HilbertBasis, OperatorMatrix
+from exchangelab.hilbert import (BasisState, HilbertBasis, OperatorMatrix,
+                                 collective_mode, enumerate_basis,
+                                 exchange_coupling, photon_mode)
 from exchangelab.perturbation import (CollisionModelParams, PerturbationProblem,
                                       WidthRule)
 from exchangelab.serialize import write_csv
@@ -43,6 +45,28 @@ def series_propagator(matrix: np.ndarray, t: float) -> np.ndarray:
     for _ in range(squarings):
         result = result @ result
     return result
+
+
+def propagated_five_pulse(model: ExchangeModel, theta: float,
+                          rate: float) -> Tuple[float, float, float]:
+    """(p_two_photon, p_two_excitation, p_return) after driving
+    |1 excitation, 1 photon> of the collective/photon-2 pair for theta/rate.
+
+    Builds the two-quanta basis, takes the generator from
+    ``exchange_coupling`` and propagates it with :func:`series_propagator`,
+    sharing no code with the closed form or with ``dynamics``.  A state
+    the atom count forbids (|2, 0> for one atom) has population 0.
+    """
+    modes = (collective_mode("collective", model.atoms), photon_mode("photon_2"))
+    basis = enumerate_basis(modes, 2)
+    generator = exchange_coupling(basis, "collective", "photon_2", rate)
+    start = basis.index((1, 1))
+    out = series_propagator(generator.matrix, theta / rate)[:, start]
+
+    def population(occ):
+        return float(abs(out[basis.index(occ)]) ** 2) if occ in basis else 0.0
+
+    return population((0, 2)), population((2, 0)), population((1, 1))
 
 
 def rowwise_trajectory_csv(trajectory: Trajectory, path) -> None:

@@ -864,6 +864,68 @@ def test_perturb_sweep_overflow_keeps_its_ok_rows(tmp_path):
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
+def test_zero_reference_detuning_is_a_validation_error(tmp_path, monkeypatch,
+                                                       capsys):
+    # no delta and delta_1 = -delta_2: the closed forms would divide by zero
+    message = "delta_1 + delta_2 must be non-zero when delta is omitted"
+    path = tmp_path / "sweep.yaml"
+    path.write_text(yaml.safe_dump({"kind": "sweep", "parameters": {
+        "parameter": "parameters.delta_2", "values": [0.9, -1.0],
+        "base": _perturb(atoms=2)}}))
+    assert main(["sweep", "--scenario", str(path), "--out", str(tmp_path)]) == 0
+    _, rows = _read_csv(tmp_path / "sweep.csv")
+    assert [row[2] for row in rows] == ["ok", "validation-error"]
+    [failed] = json.loads((tmp_path / "run.meta.json").read_text())["failed_points"]
+    assert failed["error"] == f"ScenarioError: {message}"
+    _refuse_compute(monkeypatch, "perturb")
+    path.write_text(yaml.safe_dump(_perturb(atoms=2, delta_2=-1.0)))
+    assert main(["perturb", "--scenario", str(path), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_underflowing_fourth_order_is_a_numerical_failure(tmp_path, capsys):
+    message = "fourth-order path terms underflow to zero"
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(_perturb(atoms=2, coupling=1.0e-200)))
+    assert main(["perturb", "--scenario", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: numerical failure: {message}\n"
+    assert not (tmp_path / "perturbation.json").exists()
+    path.write_text(yaml.safe_dump({"kind": "sweep", "parameters": {
+        "parameter": "parameters.coupling", "values": [0.05, 1.0e-200],
+        "base": _perturb(atoms=2)}}))
+    assert main(["sweep", "--scenario", str(path), "--out", str(tmp_path)]) == 0
+    _, rows = _read_csv(tmp_path / "sweep.csv")
+    assert [row[2] for row in rows] == ["ok", "numerical-error"]
+    [failed] = json.loads((tmp_path / "run.meta.json").read_text())["failed_points"]
+    assert failed["error"] == f"FloatingPointError: {message}"
+
+
+_FIVE_PULSE = ("kind: five-pulse\nmodel: {model}\n"
+               "parameters: {{theta: 0.5, rate: {rate}}}\n")
+_TEXT_HINT = ("; YAML 1.1 reads this as text: write a dot and a signed exponent, "
+              "as in 1.0e-3")
+
+
+@pytest.mark.parametrize("model, rate, refusal", [
+    ("{type: bosonized}", "1e-3",
+     "parameters.rate must be a number, got '1e-3'" + _TEXT_HINT),
+    ("{type: bosonized}", "abc", "parameters.rate must be a number, got 'abc'"),
+    ("{type: tavis-cummings, atoms: 1e3}", "1.0",
+     "model.atoms must be an integer, got '1e3'" + _TEXT_HINT),
+], ids=["number", "not-a-number", "integer"])
+def test_exponent_read_as_text_gets_a_hint(tmp_path, monkeypatch, capsys, model,
+                                           rate, refusal):
+    _refuse_compute(monkeypatch, "five-pulse")
+    path = tmp_path / "scenario.yaml"
+    path.write_text(_FIVE_PULSE.format(model=model, rate=rate))
+    assert main(["five-pulse", "--scenario", str(path), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {refusal}\n"
+    # the hinted spelling is a number
+    fixed = _FIVE_PULSE.format(model="{type: tavis-cummings, atoms: 1.0e+3}",
+                               rate="1.0e-3")
+    assert parse_scenario(fixed).parameters["rate"] == 1.0e-3
+
+
 @pytest.mark.parametrize("digits, message", [
     (400, "parameters.rabi must be finite"),
     (5000, "invalid YAML"),     # past Python's integer-string limit

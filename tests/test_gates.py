@@ -2,11 +2,13 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from exchangelab import cli, gates
 from exchangelab.dynamics import PulseSegment
 from exchangelab.gates import (
     ExchangeModel,
@@ -22,7 +24,8 @@ from exchangelab.gates import (
 )
 from exchangelab.serialize import dumps_json
 
-from oracles import random_product_schedule, random_unitary_2x2
+from oracles import (propagated_five_pulse, random_product_schedule,
+                     random_unitary_2x2)
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +203,51 @@ def test_five_pulse_bosonized_closed_form():
             math.sin(2 * theta) ** 2 / 2.0, abs=1e-12
         )
         assert probs.p_return == pytest.approx(math.cos(2 * theta) ** 2, abs=1e-12)
+
+
+@pytest.mark.parametrize("atoms", [None, 1, 2, 3, 8, 64, 10**4, 10**6])
+@pytest.mark.parametrize("rate", [0.3, 1.0, 2.7])
+def test_five_pulse_matches_series_propagation(atoms, rate):
+    # both sides round the phase Omega*theta/g = theta*sqrt(4N - 2) (2 theta
+    # bosonized), so the tolerance grows with it
+    model = ExchangeModel(atoms=atoms)
+    omega = 2.0 if atoms is None else math.sqrt(4.0 * atoms - 2.0)
+    for theta in np.linspace(0.0, 2.0 * math.pi, 33):
+        got = five_pulse_leakage(model, float(theta), rate)
+        want = propagated_five_pulse(model, float(theta), rate)
+        assert_allclose(got, want, rtol=0.0, atol=1e-14 * (1.0 + omega * theta))
+
+
+def test_five_pulse_exact_cases():
+    for atoms in (None, 1, 2, 10**6):
+        for rate in (0.3, 1.0):
+            leak = five_pulse_leakage(ExchangeModel(atoms), 0.0, rate)
+            assert leak == (0.0, 0.0, 1.0)
+    # one atom cannot hold two excitations: that channel is exactly empty
+    for theta in np.linspace(0.0, 2.0 * math.pi, 17):
+        leak = five_pulse_leakage(ExchangeModel(atoms=1), float(theta))
+        assert leak.p_two_excitation == 0.0
+    for theta in np.linspace(0.0, math.pi, 17):
+        probs = five_pulse_leakage(ExchangeModel(), float(theta))
+        assert probs.p_two_photon == probs.p_two_excitation
+        assert probs.p_two_photon == pytest.approx(math.sin(2 * theta) ** 2 / 2,
+                                                   abs=1e-15)
+        assert probs.p_return == pytest.approx(math.cos(2 * theta) ** 2,
+                                               abs=1e-15)
+
+
+def test_five_pulse_builds_no_basis_and_propagates_nothing(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the five-pulse table needs no basis or propagator")
+
+    for name in ("enumerate_basis", "final_state"):
+        monkeypatch.setattr(gates, name, refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    assert five_pulse_leakage(ExchangeModel(atoms=5), 0.7, 1.3).p_return < 1.0
+    scenario = Path(__file__).resolve().parent.parent / "scenarios" / "five_pulse.yaml"
+    assert cli.main(["five-pulse", "--scenario", str(scenario),
+                     "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "five_pulse.csv").is_file()
 
 
 def test_stimulated_couplings_ratio():

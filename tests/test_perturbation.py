@@ -253,6 +253,22 @@ def test_reference_detuning_defaults_to_mean():
     assert pinned.reference_detuning == 1.0
 
 
+def test_zero_reference_detuning_is_refused():
+    # delta_1 = -delta_2 puts the closed forms' delta**3 denominator at zero
+    with pytest.raises(ValueError, match=r"delta_1 \+ delta_2 must be non-zero"):
+        CollisionModelParams(coupling=0.1, atoms=2, delta_1=1.0, delta_2=-1.0)
+    pinned = CollisionModelParams(coupling=0.1, atoms=2, delta_1=1.0, delta_2=-1.0,
+                                  delta=1.0)
+    assert pinned.reference_detuning == 1.0
+
+
+def test_underflowing_path_terms_are_a_floating_point_error():
+    params = CollisionModelParams(coupling=1.0e-200, atoms=2, delta_1=1.0,
+                                  delta_2=0.9)
+    with pytest.raises(FloatingPointError, match="underflow to zero"):
+        cross_fit(params, WidthRule("none"))
+
+
 # ---------------------------------------------------------------------------
 # The cross coefficient and its cancellation
 # ---------------------------------------------------------------------------
