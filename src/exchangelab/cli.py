@@ -58,6 +58,15 @@ MAX_PARALLEL = 64
 #: Largest sector dimension of a ``schedule-run`` model.
 MAX_SECTOR_DIM = 2048
 
+#: Largest number of trajectory CSV rows of a ``schedule-run``: one per
+#: basis state at each sample, the initial one included.
+MAX_TRAJECTORY_ROWS = 10**6
+
+#: Largest schedule work, segments x dimension cubed (one factorisation
+#: per segment): eight factorisations at the largest dimension, about a
+#: minute.
+MAX_SCHEDULE_WORK = 8 * MAX_SECTOR_DIM ** 3
+
 #: Largest ``model.atoms`` of a dynamics scenario and ``parameters.atoms``
 #: of a ``perturb`` one: far above paper-scale clouds, exactly a double,
 #: and far enough inside int64 that the symmetric-sector member counts
@@ -361,6 +370,14 @@ def _parse_simulate(data: dict, scenario: Scenario) -> None:
         if count > MAX_GRID_COUNT:
             _fail(f"schedule segments x parameters.samples_per_segment makes "
                   f"{count} samples, more than {MAX_GRID_COUNT}")
+        rows = (count + 1) * dim
+        if rows > MAX_TRAJECTORY_ROWS:
+            _fail(f"(samples + 1) x sector dimension {dim} makes a trajectory of "
+                  f"{rows} rows, more than {MAX_TRAJECTORY_ROWS}")
+        work = len(scenario.schedule) * dim ** 3
+        if work > MAX_SCHEDULE_WORK:
+            _fail(f"schedule segments x sector dimension {dim} cubed makes "
+                  f"{work} units of work, more than {MAX_SCHEDULE_WORK}")
         scenario.parameters = {"experiment": experiment, "initial": occ,
                                "samples_per_segment": samples}
         scenario.rows = count
@@ -662,8 +679,8 @@ def _compute_perturb(scenario: Scenario) -> dict:
 
     params = scenario.parameters["params"]
     rule = scenario.parameters["rule"]
-    # the closed form first: a coupling whose M^4 leaves the range of a
-    # double fails here, as an OverflowError, before the fit does
+    # the Franson form first: a coupling whose M^4 leaves the range of a
+    # double fails here, as an OverflowError, before the fourth order does
     d_e, d_e_prime = perturbation.franson_formula(params)
     fit = perturbation.cross_fit(params, rule)
     result = perturbation.rspt_energy(perturbation.build_problem(params, rule))

@@ -15,10 +15,12 @@ ground-state levels (the physically unjustified choice) leave a residue
 whose imaginary part exceeds its real part by delta/w, which is the
 closed-form result evaluated by :func:`franson_formula`.
 
-The cross coefficient is extracted from the two-atom-and-up pair part
-of the fourth order, E4(N) - N*E4(1), because a single atom already
-contributes an n1*n2 saturation shift that is linear in N and has
-nothing to do with the interatomic exchange terms under study.
+The cross coefficient is the n1*n2 coefficient of the two-atom-and-up
+pair part of the fourth order, E4(N) - N*E4(1), because a single atom
+already contributes an n1*n2 saturation shift that is linear in N and
+has nothing to do with the interatomic exchange terms under study.  The
+closed form of :func:`cross_fit` does that subtraction in the algebra:
+with real energies, or widths on excited atoms, it gives exactly 0.0.
 
 The problem is built in the permutation-symmetric (Dicke) sector on the
 :mod:`exchangelab.hilbert` basis.  The reference |n1, n2, all ground>, V
@@ -27,7 +29,7 @@ fourth order is exact on the symmetric states (m1, m2, k), k being the
 number of excited atoms, coupled by the sqrt(N) M and sqrt((N - k)(k + 1))
 Dicke ladder.  At most eight of them lie within two V steps of the
 reference whatever N and the photon numbers are, and only those are
-built, so a fit costs the same for two atoms as for a million.  The path
+built, so a report costs the same for two atoms as for a million.  The path
 diagnostics (``basis_size``, ``path_terms``, ``renormalization_terms``,
 ``max_path_term``) and :attr:`CrossFit.path_scale` still describe the
 atom-labelled levels, one per set of excited atoms: a symmetric state
@@ -39,8 +41,8 @@ collective factor.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from itertools import product
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
@@ -223,24 +225,25 @@ class PerturbationProblem:
         return len(self.states)
 
 
-@lru_cache(maxsize=1024)
-def _near_sector(n_1: int, n_2: int, atoms: int):
-    """The symmetric (Dicke) states near |n1, n2, all ground>, with their V.
+def _build(params: CollisionModelParams, rule: WidthRule,
+           atoms: int) -> PerturbationProblem:
+    """The problem on the symmetric (Dicke) states of ``atoms`` atoms.
 
     States are occupations (m1, m2, k) of the two photon modes and the
-    collective mode of ``atoms`` atoms, k being the number of excited
-    atoms, with n1 + n2 quanta in all; the unit-rate ladder carries the
-    sqrt(N) and sqrt((N - k)(k + 1)) Dicke factors times the photons'
-    sqrt(n).  Only the (at most eight) states within two V steps of the
-    reference are built: farther ones cannot enter the fourth order, and
-    their gaps may vanish without harm (2 delta_1 = delta_2, say).
+    collective mode, k being the number of excited atoms, with n1 + n2
+    quanta in all; the ladder carries the sqrt(N) and
+    sqrt((N - k)(k + 1)) Dicke factors times the photons' sqrt(n).  Only
+    the (at most eight) states within two V steps of the reference are
+    built, reference first: farther ones cannot enter the fourth order,
+    and their gaps may vanish without harm (2 delta_1 = delta_2, say).
 
-    Returns (basis, classes, ladder), reference first.  Memoised because
-    fits and sweeps rebuild the same few (n1, n2, N); the ladder is only
-    ever read, never handed out.
+    A state with k excited atoms stands for C(N, k) atom-labelled levels;
+    one of them couples to the k members one excitation down and to the
+    N - k members one excitation up.
     """
     from .hilbert import HilbertBasis, collective_mode, exchange_coupling, photon_mode
 
+    n_1, n_2 = params.n_1, params.n_2
     near = [(state, cls) for state, cls in (
         ((n_1, n_2, 0), "reference"),
         ((n_1 - 1, n_2, 1), "one-excitation"),
@@ -256,19 +259,6 @@ def _near_sector(n_1: int, n_2: int, atoms: int):
                          [state for state, _ in near])
     ladder = (exchange_coupling(basis, "collective", "photon_1", 1.0).matrix
               + exchange_coupling(basis, "collective", "photon_2", 1.0).matrix).real
-    return basis, tuple(cls for _, cls in near), ladder
-
-
-def _build(params: CollisionModelParams, rule: WidthRule,
-           atoms: int) -> PerturbationProblem:
-    """The problem on the symmetric sector of ``atoms`` atoms.
-
-    A state with k excited atoms stands for C(N, k) atom-labelled levels;
-    one of them couples to the k members one excitation down and to the
-    N - k members one excitation up.
-    """
-    n_1, n_2 = params.n_1, params.n_2
-    basis, classes, ladder = _near_sector(n_1, n_2, atoms)
     m1, m2, k = basis.occupations().T
     lower = k[None, :] < k[:, None]
     degree = np.where(lower, k[:, None], atoms - k[:, None]) * (ladder != 0.0)
@@ -282,7 +272,7 @@ def _build(params: CollisionModelParams, rule: WidthRule,
         energies=energies,
         coupling=params.coupling * ladder,
         energy_scale=abs(params.reference_detuning),
-        classes=classes,
+        classes=tuple(cls for _, cls in near),
         multiplicity=tuple(math.comb(atoms, int(j)) for j in k),
         degree=degree,
     )
@@ -380,22 +370,20 @@ def _path_diagnostics(problem, gaps, e2) -> Dict[str, object]:
     }
 
 
-#: Exact polynomial basis for E4 over the occupation grid: every path
-#: product of four ladder factors is a polynomial of total degree 2.
-_FIT_POWERS = ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1))
+#: The photon numbers (n1, n2) at which the fourth order is solved.
 _FIT_GRID = tuple(product((1, 2, 3), repeat=2))
 
 
 @dataclass
 class CrossFit:
-    """Bilinear fit of the fourth order over the photon-number grid.
+    """The n1*n2 coefficients of the fourth order (see :func:`cross_fit`).
 
-    ``value`` is the n1*n2 coefficient of the pair part
-    E4(N) - N * E4(1); ``total_value`` of the raw E4(N); and
-    ``single_atom_value`` of E4(1).  ``path_scale`` is the largest
-    individual fourth-order path term on the grid, the natural yardstick
-    for calling the coefficient zero; it is the term of single
-    atom-labelled levels, not of the aggregated symmetric states.
+    ``value`` is that of the pair part E4(N) - N * E4(1), ``total_value``
+    of E4(N), ``single_atom_value`` of E4(1).  ``grid`` is E4(N) solved on
+    the photon-number grid, and ``fit_residual`` how far its mixed
+    differences lie from ``total_value``.  ``path_scale``, the largest path
+    term of single atom-labelled levels on the grid, is the yardstick for
+    calling a coefficient zero.
     """
 
     value: complex
@@ -406,55 +394,63 @@ class CrossFit:
     grid: Dict[Tuple[int, int], complex]
 
 
-def _fit_bilinear(values: Dict[Tuple[int, int], complex]) -> Tuple[np.ndarray, float]:
-    design = np.array([[float(n1 ** p * n2 ** q) for p, q in _FIT_POWERS]
-                       for n1, n2 in _FIT_GRID])
-    target = np.array([values[point] for point in _FIT_GRID])
-    coef, *_ = np.linalg.lstsq(design, target, rcond=None)
-    residual = float(np.max(np.abs(design @ coef - target)))
-    return coef, residual
-
-
 def cross_fit(params: CollisionModelParams, rule: WidthRule) -> CrossFit:
-    """Extract the n1*n2 coefficient of the fourth order over the grid.
+    """The n1*n2 coefficients of the fourth order, read off its closed form.
 
-    The fourth-order energy is evaluated on n1, n2 in {1, 2, 3}^2 for
-    the full N-atom problem and for a single atom; both are fitted to
-    the exact degree-2 polynomial basis, and the pair coefficient is
-    read off the difference.
+    Per M^4, E4(N) = N^2 P + 2 N (N - 1) Q: P holds the paths through the
+    exchanged-photon levels and the renormalization term, Q those through
+    the doubly excited ones.  With gaps (reference minus level) gA, gB of
+    (n1 - 1, n2, 1), (n1, n2 - 1, 1) and gX1, gX2 of (n1 - 1, n2 + 1),
+    (n1 + 1, n2 - 1), and e1 = gX1 - (gA - gB), e2 = gX2 - (gB - gA):
+
+        pair = (e1 e2 (gA + gB) + e1 gB^2 + e2 gA^2) / (gA^2 gB^2 gX1 gX2)
+        q = (gA + gB) / (gA gB)^2,  value = M^4 N (N - 1) pair,
+        total_value = M^4 (N^2 pair - 2 N q),  single = M^4 (pair - 2 q).
+
+    e1 and e2, so ``value``, are exactly 0.0 unless widths sit on the
+    exchanged levels.  The gaps come from the grid's (2, 2) problem, whose
+    solves raise on a degenerate gap or an overflow first; mixed
+    differences of the grid farther than 1e-6 of its scale from
+    ``total_value`` raise ``ValueError``.
     """
-    totals: Dict[Tuple[int, int], complex] = {}
-    singles: Dict[Tuple[int, int], complex] = {}
+    grid: Dict[Tuple[int, int], complex] = {}
     path_scale = 0.0
     for n1, n2 in _FIT_GRID:
-        point = replace(params, n_1=n1, n_2=n2)
-        full = rspt_energy(_build(point, rule, params.atoms))
-        single = rspt_energy(_build(point, rule, 1))
-        totals[(n1, n2)] = full.order(4)
-        singles[(n1, n2)] = single.order(4)
-        path_scale = max(path_scale, float(full.diagnostics["max_path_term"]))
-    if path_scale == 0.0:
+        problem = _build(replace(params, n_1=n1, n_2=n2), rule, params.atoms)
+        result = rspt_energy(problem)
+        grid[(n1, n2)] = result.order(4)
+        path_scale = max(path_scale, float(result.diagnostics["max_path_term"]))
+        if (n1, n2) == (2, 2):   # states 1-4: the excited and exchanged levels
+            gaps = problem.energies[0] - problem.energies[1:5]
+    # a subnormal scale has lost the digits that call the coefficient zero
+    if path_scale < sys.float_info.min:
         raise FloatingPointError("fourth-order path terms underflow to zero")
 
-    coef_total, res_total = _fit_bilinear(totals)
-    coef_single, res_single = _fit_bilinear(singles)
-    residual = max(res_total, res_single)
-    magnitude = max(path_scale, float(np.max(np.abs(list(totals.values())))), 1e-300)
+    # r1 = e1 / gX1 and r2 = e2 / gX2 spread the degree-6 denominator over
+    # chained divisions, and M^2 multiplies last, so that no partial
+    # product leaves the double range before the result does
+    g_a, g_b, g_x1, g_x2 = map(complex, gaps)
+    r_1 = (g_x1 - (g_a - g_b)) / g_x1
+    r_2 = (g_x2 - (g_b - g_a)) / g_x2
+    q = (1 / g_a + 1 / g_b) / (g_a * g_b)
+    pair = r_1 * r_2 * q + r_1 / (g_a * g_a * g_x2) + r_2 / (g_b * g_b * g_x1)
+    m2, atoms = params.coupling ** 2, params.atoms
+    total_value = (atoms * pair - 2 * q) * atoms * m2 * m2
+
+    residual = max(abs(grid[(n1 + 1, n2 + 1)] - grid[(n1 + 1, n2)]
+                       - grid[(n1, n2 + 1)] + grid[(n1, n2)] - total_value)
+                   for n1, n2 in product((1, 2), repeat=2))
+    magnitude = max(path_scale, max(abs(value) for value in grid.values()))
     if residual > 1e-6 * magnitude:
-        raise ValueError(
-            f"polynomial fit residual {residual:.3e} is too large for scale "
-            f"{magnitude:.3e}; the fourth order is not a degree-2 polynomial"
-        )
-    cross_index = _FIT_POWERS.index((1, 1))
-    total_value = complex(coef_total[cross_index])
-    single_value = complex(coef_single[cross_index])
+        raise ValueError(f"the solved fourth order departs from its closed form "
+                         f"by {residual:.3e} at scale {magnitude:.3e}")
     return CrossFit(
-        value=total_value - params.atoms * single_value,
+        value=pair * atoms * m2 * (atoms - 1) * m2,
         total_value=total_value,
-        single_atom_value=single_value,
+        single_atom_value=(pair - 2 * q) * m2 * m2,
         fit_residual=residual,
         path_scale=path_scale,
-        grid=totals,
+        grid=grid,
     )
 
 

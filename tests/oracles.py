@@ -11,6 +11,7 @@ import math
 from itertools import combinations
 from typing import List, Sequence, Tuple
 
+import mpmath
 import numpy as np
 
 from exchangelab.dynamics import (NoDynamicsError, PulseSegment, Trajectory,
@@ -326,3 +327,69 @@ def labelled_perturbation_problem(params: CollisionModelParams, rule: WidthRule,
         energy_scale=abs(params.reference_detuning),
         classes=tuple(classes),
     )
+
+
+def _mp_fourth_order(params: CollisionModelParams, rule: WidthRule, n_1: int,
+                     n_2: int, atoms: int):
+    """E4 of |n1, n2, all ground> summed path by path in ``mpmath``.
+
+    The symmetric states (photons in mode 1, photons in mode 2, excited
+    atoms) within two V steps of the reference are listed by hand, with
+    the photon sqrt(n) and Dicke sqrt((N - k)(k + 1)) factors written out.
+    """
+    states = [s for s in ((n_1, n_2, 0), (n_1 - 1, n_2, 1), (n_1, n_2 - 1, 1),
+                          (n_1 - 1, n_2 + 1, 0), (n_1 + 1, n_2 - 1, 0),
+                          (n_1 - 2, n_2, 2), (n_1 - 1, n_2 - 1, 2), (n_1, n_2 - 2, 2))
+              if min(s) >= 0 and s[2] <= atoms]
+    d_1, d_2 = mpmath.mpf(params.delta_1), mpmath.mpf(params.delta_2)
+    width = mpmath.mpf(rule.width)
+
+    def energy(state):
+        m1, m2, k = state
+        value = mpmath.mpc((n_1 - m1) * d_1 + (n_2 - m2) * d_2)
+        if rule.selector == "excited-atom-states":
+            value -= 1j * width * k
+        elif rule.selector == "exchanged-photon-ground-states" and k == 0 \
+                and (m1, m2) != (n_1, n_2):
+            value -= 1j * width
+        return value
+
+    def element(a, b):
+        if b[2] < a[2]:
+            a, b = b, a
+        if b[2] != a[2] + 1:
+            return mpmath.mpf(0)
+        dicke = mpmath.sqrt(mpmath.mpf(atoms - a[2]) * (a[2] + 1))
+        if (b[0], b[1]) == (a[0] - 1, a[1]):
+            return mpmath.mpf(params.coupling) * mpmath.sqrt(a[0]) * dicke
+        if (b[0], b[1]) == (a[0], a[1] - 1):
+            return mpmath.mpf(params.coupling) * mpmath.sqrt(a[1]) * dicke
+        return mpmath.mpf(0)
+
+    ref, rest = states[0], states[1:]
+    gap = {s: energy(ref) - energy(s) for s in rest}
+    v = {(a, b): element(a, b) for a in states for b in states}
+    links = {a: [b for b in rest if v[a, b]] for a in states}
+    e2 = sum(v[ref, s] ** 2 / gap[s] for s in links[ref])
+    paths = sum(v[ref, a] * v[a, b] * v[b, c] * v[c, ref] / (gap[a] * gap[b] * gap[c])
+                for a in links[ref] for b in links[a] for c in links[b] if v[c, ref])
+    return paths - e2 * sum(v[ref, s] ** 2 / gap[s] ** 2 for s in links[ref])
+
+
+def mp_cross_coefficients(params: CollisionModelParams, rule: WidthRule,
+                          digits: int = 50):
+    """(value, total_value, single_atom_value) of ``cross_fit`` at 50 digits.
+
+    The fourth order is a polynomial of degree 2 in (n1, n2), so its
+    mixed difference over the unit square (1, 1)-(2, 2) is its exact n1*n2
+    coefficient; the pair part subtracts N times the single-atom one.
+    """
+    with mpmath.workdps(digits):
+        def mixed(atoms):
+            e4 = {(n1, n2): _mp_fourth_order(params, rule, n1, n2, atoms)
+                  for n1 in (1, 2) for n2 in (1, 2)}
+            return e4[(2, 2)] - e4[(2, 1)] - e4[(1, 2)] + e4[(1, 1)]
+
+        total, single = mixed(params.atoms), mixed(1)
+        return (complex(total - params.atoms * single), complex(total),
+                complex(single))

@@ -22,7 +22,8 @@ import numpy as np
 
 from exchangelab import cli, gates, hilbert
 from exchangelab.cli import (MAX_ATOMS, MAX_GRID_COUNT, MAX_NESTING,
-                             MAX_PARALLEL, MAX_SECTOR_DIM, ScenarioError, main,
+                             MAX_PARALLEL, MAX_SCHEDULE_WORK, MAX_SECTOR_DIM,
+                             MAX_TRAJECTORY_ROWS, ScenarioError, main,
                              parse_scenario)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -672,6 +673,39 @@ def test_schedule_run_is_bounded_before_allocation(tmp_path, monkeypatch,
     assert not (tmp_path / "trajectory.csv").exists()
 
 
+def test_schedule_run_work_is_bounded_before_allocation(tmp_path, monkeypatch,
+                                                        capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an oversized schedule-run reached the basis")
+
+    monkeypatch.setattr(hilbert, "enumerate_basis", refuse)
+    _refuse_compute(monkeypatch, "simulate")
+    # one atom and 500 quanta span dimension 1001; 999 x 1001 rows fit
+    assert MAX_TRAJECTORY_ROWS == 10 ** 6
+    cli.validate_scenario(_schedule_run([500, 0, 0], 998, atoms=1))
+    rows = "makes a trajectory of 1001000 rows, more than 1000000"
+    with pytest.raises(ScenarioError, match=rows):
+        cli.validate_scenario(_schedule_run([500, 0, 0], 999, atoms=1))
+    # dimension 2047: eight segments fit 8 x 2048^3, nine do not
+    assert MAX_SCHEDULE_WORK == 8 * MAX_SECTOR_DIM ** 3
+    cli.validate_scenario(_schedule_run([1023, 0, 0], 1, atoms=1, segments=8))
+    work = f"makes {9 * 2047 ** 3} units of work, more than {MAX_SCHEDULE_WORK}"
+    with pytest.raises(ScenarioError, match=work):
+        cli.validate_scenario(_schedule_run([1023, 0, 0], 1, atoms=1, segments=9))
+    path = tmp_path / "long_run.yaml"
+    path.write_text(yaml.safe_dump(_schedule_run([500, 0, 0], 999, atoms=1)))
+    assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path)]) == 1
+    assert rows in capsys.readouterr().err
+    assert not (tmp_path / "trajectory.csv").exists()
+    # a sweep point over the bound is refused by its own validation
+    sweep = cli.validate_scenario({"kind": "sweep", "parameters": {
+        "parameter": "parameters.samples_per_segment", "values": [998, 999],
+        "base": _schedule_run([500, 0, 0], 1, atoms=1)}})
+    (_, fits), (_, refused) = sweep.parameters["points"]
+    assert isinstance(fits, cli.Scenario)
+    assert refused.startswith("ScenarioError: ") and refused.endswith(rows)
+
+
 def test_literal_sweep_values_are_capped(tmp_path, monkeypatch, capsys):
     _refuse_compute(monkeypatch, "perturb")
     data = yaml.safe_load((SCENARIOS / "sweep_perturb_width.yaml").read_text())
@@ -892,6 +926,30 @@ def test_underflowing_fourth_order_is_a_numerical_failure(tmp_path, capsys):
     assert not (tmp_path / "perturbation.json").exists()
     path.write_text(yaml.safe_dump({"kind": "sweep", "parameters": {
         "parameter": "parameters.coupling", "values": [0.05, 1.0e-200],
+        "base": _perturb(atoms=2)}}))
+    assert main(["sweep", "--scenario", str(path), "--out", str(tmp_path)]) == 0
+    _, rows = _read_csv(tmp_path / "sweep.csv")
+    assert [row[2] for row in rows] == ["ok", "numerical-error"]
+    [failed] = json.loads((tmp_path / "run.meta.json").read_text())["failed_points"]
+    assert failed["error"] == f"FloatingPointError: {message}"
+
+
+def test_subnormal_path_scale_is_a_numerical_failure(tmp_path, capsys):
+    # at coupling 1e-78 the largest path term is ~1.5e-310, below the
+    # smallest normal double, and has lost the digits that call the pair
+    # coefficient zero; at 1e-77 it is ~1.5e-306
+    message = "fourth-order path terms underflow to zero"
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(_perturb(atoms=2, coupling=1.0e-77)))
+    assert main(["perturb", "--scenario", str(path), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "perturbation.json").read_text())
+    assert report["path_scale"] >= sys.float_info.min
+    assert report["relative_magnitude"] == 0
+    path.write_text(yaml.safe_dump(_perturb(atoms=2, coupling=1.0e-78)))
+    assert main(["perturb", "--scenario", str(path), "--out", str(tmp_path / "tiny")]) == 2
+    assert capsys.readouterr().err == f"error: numerical failure: {message}\n"
+    path.write_text(yaml.safe_dump({"kind": "sweep", "parameters": {
+        "parameter": "parameters.coupling", "values": [1.0e-77, 1.0e-78],
         "base": _perturb(atoms=2)}}))
     assert main(["sweep", "--scenario", str(path), "--out", str(tmp_path)]) == 0
     _, rows = _read_csv(tmp_path / "sweep.csv")

@@ -10,7 +10,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from exchangelab import perturbation
 from exchangelab.perturbation import (
     CollisionModelParams,
     PerturbationProblem,
@@ -22,7 +25,8 @@ from exchangelab.perturbation import (
     rspt_energy,
 )
 
-from oracles import fit_bilinear, labelled_perturbation_problem
+from oracles import (fit_bilinear, labelled_perturbation_problem,
+                     mp_cross_coefficients)
 
 
 NONE_RULE = WidthRule("none")
@@ -373,6 +377,60 @@ def test_symmetric_sector_matches_labelled_oracle(atoms, rule, delta_2):
     # that calls it zero; a surviving one is compared to itself
     scale = abs(cross) if rule.selector == "exchanged-photon-ground-states" else path_scale
     assert abs(fit.value - cross) <= 1e-12 * scale
+
+
+_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
+                     database=None)
+
+# detuning ratios delta_2 / delta_1 that keep every gap of the eight
+# near states (delta_1, delta_2, delta_1 - delta_2, 2 delta_1, 2 delta_2,
+# delta_1 + delta_2) away from zero
+_RATIOS = (st.floats(0.2, 0.9) | st.floats(1.1, 3.0) | st.floats(-3.0, -1.3)
+           | st.floats(-0.7, -0.2))
+
+
+@_SETTINGS
+@given(log_atoms=st.floats(math.log10(2), 15), rule_index=st.integers(0, 2),
+       delta_1=st.floats(0.5, 2.0), sign=st.sampled_from((1.0, -1.0)),
+       ratio=_RATIOS, log_width=st.floats(-4, -0.5), log_coupling=st.floats(-3, 0))
+def test_closed_form_matches_the_fitted_algorithm_at_50_digits(
+        log_atoms, rule_index, delta_1, sign, ratio, log_width, log_coupling):
+    atoms = max(2, round(10 ** log_atoms))
+    selector = ALL_RULES[rule_index].selector
+    width = 0.0 if selector == "none" else 10 ** log_width * delta_1
+    rule = WidthRule(selector, width)
+    params = CollisionModelParams(coupling=10 ** log_coupling, atoms=atoms,
+                                  delta_1=sign * delta_1,
+                                  delta_2=sign * delta_1 * ratio, width=width)
+    fit = cross_fit(params, rule)
+    value, total, single = mp_cross_coefficients(params, rule)
+    if selector == "exchanged-photon-ground-states":
+        assert abs(fit.value - value) <= 1e-12 * abs(value)
+    else:
+        assert fit.value == 0
+    assert abs(fit.total_value - total) <= 1e-12 * max(abs(total), fit.path_scale)
+    assert abs(fit.single_atom_value - single) <= 1e-12 * max(abs(single),
+                                                               fit.path_scale)
+
+
+def test_cross_fit_needs_no_least_squares_and_no_single_atom_solve(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("cross_fit reached a least-squares fit")
+
+    built = []
+
+    def build(params, rule, atoms):
+        built.append(atoms)
+        return original(params, rule, atoms)
+
+    original = perturbation._build
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    monkeypatch.setattr(perturbation, "_build", build)
+    for rule in ALL_RULES:
+        params = CollisionModelParams(coupling=0.1, atoms=5, delta_1=1.0,
+                                      delta_2=0.9, width=rule.width)
+        cross_fit(params, rule)
+    assert built == [5] * 9 * len(ALL_RULES)
 
 
 @pytest.mark.parametrize("atoms", (100, 10 ** 4, 10 ** 6))
