@@ -19,9 +19,9 @@ double).
 Importing this module loads no compute module and no numpy.  Each kind
 imports what it computes with the first time it is parsed or run:
 ``simulate``, ``gate`` and ``five-pulse`` load ``gates`` or ``dynamics``
-(with ``hilbert`` and numpy), ``perturb`` loads ``perturbation`` (with
-``hilbert`` and numpy), and ``rates`` loads only ``estimates``, so a
-cold ``rates`` run never imports numpy.
+(with ``hilbert`` and numpy), ``perturb`` loads only ``perturbation``
+and ``rates`` only ``estimates``, so cold ``perturb`` and ``rates`` runs
+never import numpy.
 """
 
 from __future__ import annotations
@@ -68,10 +68,10 @@ MAX_TRAJECTORY_ROWS = 10**6
 MAX_SCHEDULE_WORK = 8 * MAX_SECTOR_DIM ** 3
 
 #: Largest ``model.atoms`` of a dynamics scenario and ``parameters.atoms``
-#: of a ``perturb`` one: far above paper-scale clouds, exactly a double,
-#: and far enough inside int64 that the symmetric-sector member counts
-#: cannot overflow.  It also caps a ``perturb`` scenario's photon numbers
-#: ``parameters.n_1`` and ``n_2``, which its basis stores as int64.
+#: of a ``perturb`` one: far above paper-scale clouds and below 2^53, so
+#: that the closed forms of ``perturbation`` take it as an exact double.
+#: It also caps a ``perturb`` scenario's photon numbers ``parameters.n_1``
+#: and ``n_2``.
 MAX_ATOMS = 10**15
 
 #: What computing a validated scenario may raise on awkward numbers: a
@@ -227,6 +227,7 @@ class Scenario:
     parameters: dict = field(default_factory=dict)
     output: Dict[str, str] = field(default_factory=dict)
     rows: int = 1   # table rows or trajectory samples one run computes
+    work: int = 0   # schedule-run segments x sector dimension cubed
 
 
 def _parse_model(data: dict) -> ExchangeModel:
@@ -381,6 +382,7 @@ def _parse_simulate(data: dict, scenario: Scenario) -> None:
         scenario.parameters = {"experiment": experiment, "initial": occ,
                                "samples_per_segment": samples}
         scenario.rows = count
+        scenario.work = work
         return
     _fail("parameters.experiment must be transmission or schedule-run, "
           f"got {experiment!r}")
@@ -522,10 +524,11 @@ def _parse_sweep(data: dict, scenario: Scenario) -> None:
     else:
         points = _value_list(values, "parameters.values")
     # Each point is validated once, here: the run walks these points.  A
-    # point computes its whole base (every table row, theta or sample), so
-    # the work is bounded summed over the points.
+    # point computes its whole base (every table row, theta or sample, and
+    # every factorisation of a schedule-run), so the rows and the schedule
+    # work are bounded summed over the points.
     validated = []
-    total = 0
+    total = work = 0
     for value in points:
         try:
             point = validate_scenario(_point_data(base, keys, value))
@@ -534,11 +537,16 @@ def _parse_sweep(data: dict, scenario: Scenario) -> None:
             continue    # reported as a validation-error row when run
         validated.append((value, point))
         total += point.rows
+        work += point.work
         if total > MAX_GRID_COUNT:
             _fail(f"the sweep points compute at least {total} rows or "
                   f"samples in total, more than {MAX_GRID_COUNT}")
+        if work > MAX_SCHEDULE_WORK:
+            _fail(f"the sweep points make at least {work} units of schedule "
+                  f"work in total, more than {MAX_SCHEDULE_WORK}")
     scenario.parameters = {"parameter": keys, "base": base, "points": validated}
     scenario.rows = total
+    scenario.work = work
 
 
 def validate_scenario(data: dict) -> Scenario:
@@ -683,7 +691,7 @@ def _compute_perturb(scenario: Scenario) -> dict:
     # double fails here, as an OverflowError, before the fourth order does
     d_e, d_e_prime = perturbation.franson_formula(params)
     fit = perturbation.cross_fit(params, rule)
-    result = perturbation.rspt_energy(perturbation.build_problem(params, rule))
+    result = perturbation.fourth_order(params, rule)
     return {"fit": fit, "orders": result.orders,
             "diagnostics": result.diagnostics,
             "franson": (d_e, d_e_prime),

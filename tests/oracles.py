@@ -1,15 +1,17 @@
 """Independent oracles and shared helpers for the test suite.
 
 Everything here is deliberately written from first principles (plain Taylor
-series, stars-and-bars counting, hand-built schedules) so that the package
-under test is checked against arithmetic that shares none of its code paths.
+series, stars-and-bars counting, hand-built schedules, a general
+Rayleigh-Schrodinger solver) so that the package under test is checked
+against arithmetic that shares none of its code paths.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from itertools import combinations
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import mpmath
 import numpy as np
@@ -20,7 +22,8 @@ from exchangelab.gates import ExchangeModel
 from exchangelab.hilbert import (BasisState, HilbertBasis, OperatorMatrix,
                                  collective_mode, enumerate_basis,
                                  exchange_coupling, photon_mode)
-from exchangelab.perturbation import (CollisionModelParams, PerturbationProblem,
+from exchangelab.perturbation import (GAP_TOLERANCE, CollisionModelParams,
+                                      PerturbationResult, SingularityError,
                                       WidthRule)
 from exchangelab.serialize import write_csv
 
@@ -243,6 +246,154 @@ def random_product_schedule(rng: np.random.Generator, model: ExchangeModel) -> L
     return schedule
 
 
+@dataclass(frozen=True)
+class PerturbationProblem:
+    """A reference level, its neighbours, and the coupling between them.
+
+    ``states`` are descriptors (opaque to the solver), reference first:
+    state 0 is the level whose shift is computed; ``energies`` may be
+    complex per the width rule;
+    ``coupling`` is the real V matrix with zero diagonal; ``classes``
+    label states for path diagnostics; ``energy_scale`` sets the
+    degeneracy threshold.
+
+    A state may be the uniform superposition of several equivalent
+    levels, its members (the symmetric sector of permutable atoms).
+    ``multiplicity`` gives the number of members of each state and
+    ``degree[i, j]`` the number of members of state j that V couples to
+    one member of state i; the element between single members is then
+    ``coupling[i, j] / sqrt(degree[i, j] * degree[j, i])``.  The path
+    diagnostics count and weigh member paths.  By default every state is
+    a single level.  Both must agree on the links between members:
+    ``multiplicity[i] * degree[i, j] == multiplicity[j] * degree[j, i]``.
+    """
+
+    states: Tuple
+    energies: np.ndarray
+    coupling: np.ndarray
+    energy_scale: float
+    classes: Tuple[str, ...] = ()
+    multiplicity: Tuple[int, ...] = ()
+    degree: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        energies = np.asarray(self.energies, dtype=complex)
+        coupling = np.asarray(self.coupling, dtype=float)
+        dim = len(self.states)
+        if energies.shape != (dim,) or coupling.shape != (dim, dim):
+            raise ValueError("states, energies and coupling sizes disagree")
+        if not np.isfinite(energies).all() or not np.isfinite(coupling).all():
+            raise ValueError("energies and coupling must be finite")
+        if np.max(np.abs(np.diagonal(coupling))) > 0.0:
+            raise ValueError("coupling must have zero diagonal")
+        if np.max(np.abs(coupling - coupling.T)) > 0.0:
+            raise ValueError("coupling must be symmetric")
+        if self.energy_scale <= 0 or not np.isfinite(self.energy_scale):
+            raise ValueError("energy_scale must be positive and finite")
+        classes = self.classes if self.classes else ("intermediate",) * dim
+        if len(classes) != dim:
+            raise ValueError("classes length disagrees with states")
+        multiplicity = self.multiplicity if self.multiplicity else (1,) * dim
+        if len(multiplicity) != dim or min(multiplicity) < 1:
+            raise ValueError("multiplicity needs one positive count per state")
+        if self.degree is None:
+            degree = (coupling != 0.0).astype(int)
+        else:
+            degree = np.asarray(self.degree, dtype=int)
+        if degree.shape != (dim, dim) or (degree < 0).any():
+            raise ValueError("degree must be a non-negative (dim, dim) matrix")
+        if (degree[coupling != 0.0] == 0).any():
+            raise ValueError("degree must be positive wherever coupling is non-zero")
+        links = np.array(multiplicity, dtype=object)[:, None] * degree.astype(object)
+        if (links != links.T).any():
+            raise ValueError("multiplicity and degree must count the same member "
+                             "links from either end")
+        object.__setattr__(self, "energies", energies)
+        object.__setattr__(self, "coupling", coupling)
+        object.__setattr__(self, "classes", tuple(classes))
+        object.__setattr__(self, "multiplicity", tuple(int(m) for m in multiplicity))
+        object.__setattr__(self, "degree", degree)
+
+    @property
+    def dim(self) -> int:
+        return len(self.states)
+
+
+def rspt_energy(problem: PerturbationProblem) -> PerturbationResult:
+    """Rayleigh-Schrodinger corrections of orders 1 to 4 to the reference.
+
+    The reference is state 0 of the problem (reference first).  Uses the
+    standard nondegenerate expansion for a reference with zero diagonal
+    coupling; the fourth order includes the renormalization term
+    -E2 * sum |V_0k|^2 / gap_k^2.  Complex level energies enter the gaps
+    as-is.  An overflow or invalid operation raises
+    :class:`FloatingPointError` instead of returning a non-finite order.
+    """
+    u = problem.coupling[0, 1:]
+    w_block = problem.coupling[1:, 1:]
+    gaps = problem.energies[0] - problem.energies[1:]
+    scale = problem.energy_scale
+
+    tiny = np.abs(gaps) <= GAP_TOLERANCE * scale
+    if tiny.any():
+        culprit = problem.states[1 + int(np.argmax(tiny))]
+        raise SingularityError(
+            f"intermediate state {culprit!r} is degenerate with the reference"
+        )
+
+    with np.errstate(over="raise", invalid="raise"):
+        x = u / gaps
+        e2 = complex(u @ x)
+        wx = w_block @ x
+        orders = {
+            1: 0.0 + 0.0j,
+            2: e2,
+            3: complex(x @ w_block @ x),
+            4: complex((wx / gaps) @ wx - e2 * (u @ (u / gaps ** 2))),
+        }
+        diagnostics = _path_diagnostics(problem, gaps, e2)
+    return PerturbationResult(orders=orders, diagnostics=diagnostics)
+
+
+def _path_diagnostics(problem, gaps, e2) -> Dict[str, object]:
+    """Count fourth-order member paths by middle-state class; record the largest.
+
+    Counts and terms are those of single members (atom-labelled levels),
+    not of the aggregated symmetric states, so they do not depend on how
+    the problem was reduced.  ``e2`` is the full second order, which
+    enters the renormalization term.
+    """
+    degree = problem.degree
+    factor = np.sqrt(degree * degree.T)
+    member = np.divide(problem.coupling, factor, out=np.zeros_like(problem.coupling),
+                       where=factor > 0)
+    u = member[0, 1:]
+    w_block = member[1:, 1:]
+    nz_u = u != 0.0
+    # members of the one-step states a member of each middle state couples to
+    fan = ((w_block != 0.0) & nz_u[None, :]) * degree[1:, 1:]
+    fan = fan.sum(axis=1)
+    x = np.abs(u / gaps)
+    inv = 1.0 / np.abs(gaps)
+    alpha = (x[:, None] * np.abs(w_block)) * inv[None, :]   # |(u_a/d_a) W_ab / d_b|
+    beta = np.abs(w_block) * x[None, :]                     # |W_bc (u_c/d_c)|
+    paths = alpha.max(axis=0, initial=0.0) * beta.max(axis=1, initial=0.0)
+    max_path = float(paths[fan > 0].max(initial=0.0))
+    counts: Dict[str, int] = {}
+    multiplicity = problem.multiplicity[1:]
+    classes = problem.classes[1:]
+    for b in np.flatnonzero(fan):
+        n = int(fan[b])
+        counts[classes[b]] = counts.get(classes[b], 0) + multiplicity[b] * n * n
+    renorm_max = abs(e2) * float(np.max(x * inv * np.abs(u), initial=0.0))
+    return {
+        "basis_size": sum(problem.multiplicity),
+        "path_terms": counts,
+        "renormalization_terms": sum(m for m, nz in zip(multiplicity, nz_u) if nz),
+        "max_path_term": max(max_path, renorm_max),
+    }
+
+
 def _atom_states(n_1: int, n_2: int, atoms: int):
     """All levels reachable from |n1, n2, ground> in at most two V steps.
 
@@ -301,8 +452,8 @@ def labelled_perturbation_problem(params: CollisionModelParams, rule: WidthRule,
     """The fourth-order problem on atom-labelled levels, one per excited-atom set.
 
     Its dimension grows as ~3 N^2 / 2 and it is filled pair by pair, so it
-    is only practical for small N; it shares no construction with the
-    package's symmetric-sector builder.
+    is only practical for small N; :func:`rspt_energy` solves it without
+    any of the package's closed forms.
     """
     states, classes = _atom_states(params.n_1, params.n_2, atoms)
     dim = len(states)
@@ -329,9 +480,9 @@ def labelled_perturbation_problem(params: CollisionModelParams, rule: WidthRule,
     )
 
 
-def _mp_fourth_order(params: CollisionModelParams, rule: WidthRule, n_1: int,
-                     n_2: int, atoms: int):
-    """E4 of |n1, n2, all ground> summed path by path in ``mpmath``.
+def _mp_orders(params: CollisionModelParams, rule: WidthRule, n_1: int,
+               n_2: int, atoms: int):
+    """(E2, E4) of |n1, n2, all ground> summed path by path in ``mpmath``.
 
     The symmetric states (photons in mode 1, photons in mode 2, excited
     atoms) within two V steps of the reference are listed by hand, with
@@ -373,7 +524,14 @@ def _mp_fourth_order(params: CollisionModelParams, rule: WidthRule, n_1: int,
     e2 = sum(v[ref, s] ** 2 / gap[s] for s in links[ref])
     paths = sum(v[ref, a] * v[a, b] * v[b, c] * v[c, ref] / (gap[a] * gap[b] * gap[c])
                 for a in links[ref] for b in links[a] for c in links[b] if v[c, ref])
-    return paths - e2 * sum(v[ref, s] ** 2 / gap[s] ** 2 for s in links[ref])
+    return e2, paths - e2 * sum(v[ref, s] ** 2 / gap[s] ** 2 for s in links[ref])
+
+
+def mp_orders(params: CollisionModelParams, rule: WidthRule, digits: int = 50):
+    """(E2, E4) of ``fourth_order`` at 50 digits."""
+    with mpmath.workdps(digits):
+        e2, e4 = _mp_orders(params, rule, params.n_1, params.n_2, params.atoms)
+        return complex(e2), complex(e4)
 
 
 def mp_cross_coefficients(params: CollisionModelParams, rule: WidthRule,
@@ -386,7 +544,7 @@ def mp_cross_coefficients(params: CollisionModelParams, rule: WidthRule,
     """
     with mpmath.workdps(digits):
         def mixed(atoms):
-            e4 = {(n1, n2): _mp_fourth_order(params, rule, n1, n2, atoms)
+            e4 = {(n1, n2): _mp_orders(params, rule, n1, n2, atoms)[1]
                   for n1 in (1, 2) for n2 in (1, 2)}
             return e4[(2, 2)] - e4[(2, 1)] - e4[(1, 2)] + e4[(1, 1)]
 

@@ -706,6 +706,31 @@ def test_schedule_run_work_is_bounded_before_allocation(tmp_path, monkeypatch,
     assert refused.startswith("ScenarioError: ") and refused.endswith(rows)
 
 
+def test_sweep_schedule_work_is_capped_before_compute(tmp_path, monkeypatch,
+                                                     capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an oversized sweep reached the basis")
+
+    monkeypatch.setattr(hilbert, "enumerate_basis", refuse)
+    _refuse_compute(monkeypatch, "simulate")
+    # each point is eight segments at dimension 2047, under the per-run bound
+    one = 8 * 2047 ** 3
+    data = {"kind": "sweep", "parameters": {
+        "parameter": "parameters.samples_per_segment", "values": [1],
+        "base": _schedule_run([1023, 0, 0], 1, atoms=1, segments=8)}}
+    assert cli.validate_scenario(data).work == one
+    data["parameters"]["values"] = [1, 1]
+    message = (f"the sweep points make at least {2 * one} units of schedule "
+               f"work in total, more than {MAX_SCHEDULE_WORK}")
+    with pytest.raises(ScenarioError, match=message):
+        cli.validate_scenario(data)
+    path = tmp_path / "long_sweep.yaml"
+    path.write_text(yaml.safe_dump(data))
+    assert main(["sweep", "--scenario", str(path), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_literal_sweep_values_are_capped(tmp_path, monkeypatch, capsys):
     _refuse_compute(monkeypatch, "perturb")
     data = yaml.safe_load((SCENARIOS / "sweep_perturb_width.yaml").read_text())
@@ -894,7 +919,8 @@ def test_perturb_sweep_overflow_keeps_its_ok_rows(tmp_path):
     assert [row[2] for row in rows] == ["ok", "numerical-error"]
     [failed] = json.loads((tmp_path / "run.meta.json").read_text())["failed_points"]
     assert failed == {"index": 1, "status": "numerical-error",
-                      "error": "FloatingPointError: overflow encountered in matmul"}
+                      "error": "FloatingPointError: overflow encountered in the "
+                               "fourth order"}
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 

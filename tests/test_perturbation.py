@@ -1,8 +1,10 @@
 """Tests for the fourth-order cross-shift machinery.
 
-The solver is checked against closed forms that can be derived by hand:
-the exactly solvable two-level problem, the single-mode saturation shift
-(renormalization term in isolation), and the analytic width formulas.
+The package's closed forms are checked against a general
+Rayleigh-Schrodinger solver on atom-labelled levels and a 50-digit path
+sum (``oracles``).  The solver itself is checked against closed forms that
+can be derived by hand: the exactly solvable two-level problem and the
+single-mode saturation shift (renormalization term in isolation).
 """
 
 import math
@@ -16,17 +18,16 @@ from hypothesis import strategies as st
 from exchangelab import perturbation
 from exchangelab.perturbation import (
     CollisionModelParams,
-    PerturbationProblem,
     SingularityError,
     WidthRule,
-    build_problem,
     cross_fit,
+    fourth_order,
     franson_formula,
-    rspt_energy,
 )
 
-from oracles import (fit_bilinear, labelled_perturbation_problem,
-                     mp_cross_coefficients)
+from oracles import (PerturbationProblem, fit_bilinear,
+                     labelled_perturbation_problem, mp_cross_coefficients,
+                     mp_orders, rspt_energy)
 
 
 NONE_RULE = WidthRule("none")
@@ -45,7 +46,7 @@ def _two_level(v, delta):
 
 
 # ---------------------------------------------------------------------------
-# Solver correctness on solvable problems
+# The reference solver on solvable problems
 # ---------------------------------------------------------------------------
 
 
@@ -93,6 +94,21 @@ def test_overflow_raises_instead_of_a_non_finite_order():
         rspt_energy(_two_level(1e160, 1.0))
 
 
+@pytest.mark.parametrize("coupling, atoms", [
+    (1.0e77, 2),            # M^4 N^2 = 4e308
+    (1.0e70, 10 ** 15),     # M^4 = 1e280 is finite, M^4 N^2 is not
+], ids=["coupling", "atoms"])
+def test_closed_form_overflow_is_a_floating_point_error(coupling, atoms):
+    # a product of doubles overflows to inf silently: the closed forms
+    # check what they report
+    params = CollisionModelParams(coupling=coupling, atoms=atoms, delta_1=1.0,
+                                  delta_2=0.9)
+    for compute in (fourth_order, cross_fit):
+        with pytest.raises(FloatingPointError,
+                           match="^overflow encountered in the fourth order$"):
+            compute(params, NONE_RULE)
+
+
 def test_problem_validation():
     with pytest.raises(ValueError):
         PerturbationProblem(states=("a",), energies=np.array([0.0]),
@@ -125,9 +141,18 @@ def test_degenerate_intermediate_raises():
     # reference after one photon is taken from each mode
     params = CollisionModelParams(coupling=0.1, atoms=2, delta_1=1.0, delta_2=-1.0,
                                   delta=1.0)
-    problem = build_problem(params, NONE_RULE)
+    message = r"^intermediate state \(0, 0, 2\) is degenerate with the reference$"
+    for compute in (fourth_order, cross_fit):
+        with pytest.raises(SingularityError, match=message):
+            compute(params, NONE_RULE)
     with pytest.raises(SingularityError, match="degenerate"):
-        rspt_energy(problem)
+        rspt_energy(labelled_perturbation_problem(params, NONE_RULE, 2))
+    # a gap within GAP_TOLERANCE of the reference detuning counts as zero;
+    # the level is named at the photon numbers asked for
+    near = replace(params, delta_2=0.9, n_1=3, n_2=2,
+                   delta_1=0.9 * (1 + 0.5 * perturbation.GAP_TOLERANCE))
+    with pytest.raises(SingularityError, match=r"\(2, 3, 0\) is degenerate"):
+        fourth_order(near, NONE_RULE)
 
 
 # ---------------------------------------------------------------------------
@@ -151,27 +176,8 @@ def test_two_atom_basis_contents():
     assert (0, 2, frozenset()) in problem.states
     assert (2, 0, frozenset()) in problem.states
     assert (0, 0, frozenset({0, 1})) in problem.states
-
-    # the symmetric sector: one state per class and photon content, each
-    # standing for C(2, k) labelled levels
-    symmetric = build_problem(params, NONE_RULE)
-    assert symmetric.states == ((1, 1, 0), (0, 1, 1), (1, 0, 1), (0, 2, 0),
-                                (2, 0, 0), (0, 0, 2))
-    assert symmetric.classes == ("reference", "one-excitation", "one-excitation",
-                                 "exchanged-photon", "exchanged-photon",
-                                 "two-excitation")
-    assert symmetric.multiplicity == (1, 2, 2, 1, 1, 1)
-    members = {}
-    for cls, count in zip(symmetric.classes, symmetric.multiplicity):
-        members[cls] = members.get(cls, 0) + count
-    assert members == by_class
-    # Dicke ladder: sqrt(N) M out of the ground state, sqrt((N - 1) 2) M
-    # into the doubly excited one, times the photon's own sqrt(n)
-    m = params.coupling * math.sqrt(2.0)
-    assert symmetric.coupling[0, 1] == pytest.approx(m, rel=1e-15)
-    assert symmetric.coupling[1, 5] == pytest.approx(m, rel=1e-15)
-    assert symmetric.coupling[1, 3] == pytest.approx(m * math.sqrt(2.0), rel=1e-15)
-    assert symmetric.coupling[0, 3] == 0.0
+    # the closed-form diagnostics count these levels
+    assert fourth_order(params, NONE_RULE).diagnostics["basis_size"] == problem.dim
 
 
 def test_width_rules_place_imaginary_parts():
@@ -193,17 +199,14 @@ def test_width_rules_place_imaginary_parts():
     plain = labelled_perturbation_problem(params, NONE_RULE, params.atoms)
     assert np.all(plain.energies.imag == 0.0)
 
-    # the symmetric states carry k excited atoms as their last entry
-    excited = build_problem(params, excited_rule)
-    for state, energy in zip(excited.states, excited.energies):
-        assert energy.imag == -0.05 * state[2]
-
-    exchanged = build_problem(params, exchanged_rule)
-    assert "exchanged-photon" in exchanged.classes
-    for cls, energy in zip(exchanged.classes, exchanged.energies):
-        assert energy.imag == (-0.05 if cls == "exchanged-photon" else 0.0)
-
-    assert np.all(build_problem(params, NONE_RULE).energies.imag == 0.0)
+    # the gaps (gA, gB, gX1, gX2), reference minus level, gain +i*w
+    assert perturbation._gaps(params, excited_rule) == (
+        complex(-1.0, 0.05), complex(-0.9, 0.05), complex(0.9 - 1.0, 0.0),
+        complex(1.0 - 0.9, 0.0))
+    assert perturbation._gaps(params, exchanged_rule) == (
+        complex(-1.0, 0.0), complex(-0.9, 0.0), complex(0.9 - 1.0, 0.05),
+        complex(1.0 - 0.9, 0.05))
+    assert all(gap.imag == 0.0 for gap in perturbation._gaps(params, NONE_RULE))
 
 
 def test_second_order_closed_form():
@@ -212,14 +215,15 @@ def test_second_order_closed_form():
         for n1, n2 in ((1, 1), (2, 3)):
             params = CollisionModelParams(coupling=m, atoms=atoms, delta_1=d1,
                                           delta_2=d2, n_1=n1, n_2=n2)
-            result = rspt_energy(build_problem(params, NONE_RULE))
+            result = fourth_order(params, NONE_RULE)
             expected = -atoms * m * m * (n1 / d1 + n2 / d2)
             assert result.order(2) == pytest.approx(expected, rel=1e-12)
 
 
 def test_diagnostics_shape():
     params = CollisionModelParams(coupling=0.1, atoms=2, delta_1=1.0, delta_2=0.9)
-    result = rspt_energy(build_problem(params, NONE_RULE))
+    result = fourth_order(params, NONE_RULE)
+    assert result.order(1) == result.order(3) == 0
     diag = result.diagnostics
     assert diag["basis_size"] == 8
     assert diag["renormalization_terms"] == 4
@@ -325,27 +329,6 @@ def test_cross_shift_scales_with_atom_pairs():
     assert per_pair[2] == pytest.approx(per_pair[0], rel=1e-9)
 
 
-def test_numeric_residue_approaches_closed_form():
-    # the closed form assumes w << |delta_1 - delta_2| << delta; shrinking
-    # both ratios drives the numeric pair coefficient to the closed form
-    # times (N - 1) / N (the N^2 prefactor counts ordered pairs)
-    for atoms in (2, 4):
-        target = (atoms - 1) / atoms
-        deviations = []
-        for delta_2, width in ((0.9, 1e-3), (0.99, 1e-5)):
-            params = CollisionModelParams(coupling=0.1, atoms=atoms, delta_1=1.0,
-                                          delta_2=delta_2, width=width)
-            numeric = cross_fit(
-                params, WidthRule("exchanged-photon-ground-states", width)
-            ).value
-            d_e, d_e_prime = franson_formula(params)
-            worst = max(abs(numeric.real / d_e.real - target),
-                        abs(numeric.imag / d_e_prime.imag - target))
-            deviations.append(worst)
-        assert deviations[1] < deviations[0]
-        assert deviations[1] < 1e-3 * target
-
-
 # with delta_2 = 0.9 the exchanged-photon paths carry the largest term;
 # with delta_2 = -0.6 and few atoms the doubly excited ones do
 @pytest.mark.parametrize("delta_2", (0.9, -0.6))
@@ -358,7 +341,7 @@ def test_symmetric_sector_matches_labelled_oracle(atoms, rule, delta_2):
     for n1, n2 in FIT_GRID:
         point = replace(params, n_1=n1, n_2=n2)
         oracle = rspt_energy(labelled_perturbation_problem(point, rule, atoms))
-        result = rspt_energy(build_problem(point, rule))
+        result = fourth_order(point, rule)
         for k in (2, 4):
             assert abs(result.order(k) - oracle.order(k)) <= 1e-12 * abs(oracle.order(k))
         for key in ("basis_size", "path_terms", "renormalization_terms"):
@@ -413,24 +396,55 @@ def test_closed_form_matches_the_fitted_algorithm_at_50_digits(
                                                                fit.path_scale)
 
 
-def test_cross_fit_needs_no_least_squares_and_no_single_atom_solve(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("cross_fit reached a least-squares fit")
+@_SETTINGS
+@given(log_atoms=st.floats(math.log10(2), 15), rule_index=st.integers(0, 2),
+       delta_1=st.floats(0.5, 2.0), sign=st.sampled_from((1.0, -1.0)),
+       ratio=_RATIOS, log_width=st.floats(-4, -0.5), log_coupling=st.floats(-3, 0),
+       n_1=st.integers(1, 5), n_2=st.integers(1, 5))
+def test_fourth_order_matches_the_path_sum_at_50_digits(
+        log_atoms, rule_index, delta_1, sign, ratio, log_width, log_coupling,
+        n_1, n_2):
+    atoms = max(2, round(10 ** log_atoms))
+    selector = ALL_RULES[rule_index].selector
+    width = 0.0 if selector == "none" else 10 ** log_width * delta_1
+    rule = WidthRule(selector, width)
+    params = CollisionModelParams(coupling=10 ** log_coupling, atoms=atoms,
+                                  delta_1=sign * delta_1,
+                                  delta_2=sign * delta_1 * ratio, width=width,
+                                  n_1=n_1, n_2=n_2)
+    result = fourth_order(params, rule)
+    e2, e4 = mp_orders(params, rule)
+    scale = result.diagnostics["max_path_term"]
+    assert abs(result.order(2) - e2) <= 1e-13 * max(abs(e2), scale)
+    assert abs(result.order(4) - e4) <= 1e-13 * max(abs(e4), scale)
+    assert result.order(1) == result.order(3) == 0
+    # the grid and the coefficients come from one closed form: their mixed
+    # differences differ by rounding only
+    fit = cross_fit(params, rule)
+    assert fit.fit_residual <= 1e-14 * max(abs(value) for value in fit.grid.values())
 
-    built = []
 
-    def build(params, rule, atoms):
-        built.append(atoms)
-        return original(params, rule, atoms)
-
-    original = perturbation._build
-    monkeypatch.setattr(np.linalg, "lstsq", refuse)
-    monkeypatch.setattr(perturbation, "_build", build)
-    for rule in ALL_RULES:
-        params = CollisionModelParams(coupling=0.1, atoms=5, delta_1=1.0,
-                                      delta_2=0.9, width=rule.width)
-        cross_fit(params, rule)
-    assert built == [5] * 9 * len(ALL_RULES)
+@_SETTINGS
+@given(log_atoms=st.floats(math.log10(2), 15), delta_1=st.floats(0.5, 2.0),
+       sign=st.sampled_from((1.0, -1.0)), ratio=_RATIOS,
+       log_width=st.floats(-4, -0.5), log_coupling=st.floats(-3, 0))
+def test_exact_coefficient_is_franson_formula_times_two_factors(
+        log_atoms, delta_1, sign, ratio, log_width, log_coupling):
+    # With x = ((delta_1 - delta_2) / (delta_1 + delta_2))^2 and
+    # y = (w / (delta_1 - delta_2))^2 the exact pair coefficient per
+    # (N - 1) / N is (dE + dE' (1 + x)) / ((1 - x)^2 (1 + y)): Franson's
+    # formula is its limit w << |delta_1 - delta_2| << delta.
+    atoms = max(2, round(10 ** log_atoms))
+    delta_1, delta_2 = sign * delta_1, sign * delta_1 * ratio
+    width = 10 ** log_width * abs(delta_1)
+    params = CollisionModelParams(coupling=10 ** log_coupling, atoms=atoms,
+                                  delta_1=delta_1, delta_2=delta_2, width=width)
+    value = cross_fit(params, WidthRule("exchanged-photon-ground-states", width)).value
+    d_e, d_e_prime = franson_formula(params)
+    x = ((delta_1 - delta_2) / (delta_1 + delta_2)) ** 2
+    y = (width / (delta_1 - delta_2)) ** 2
+    expected = (d_e + d_e_prime * (1 + x)) / ((1 - x) ** 2 * (1 + y))
+    assert abs(value * atoms / (atoms - 1) - expected) <= 1e-12 * abs(expected)
 
 
 @pytest.mark.parametrize("atoms", (100, 10 ** 4, 10 ** 6))
@@ -461,27 +475,23 @@ def test_pair_scaling_holds_at_large_atom_counts():
         assert abs(value.imag / value.real) == pytest.approx(expected, rel=0.2)
 
 
-def test_basis_stays_small_at_large_atom_counts():
-    params = CollisionModelParams(coupling=0.1, atoms=10 ** 6, delta_1=1.0,
+@pytest.mark.parametrize("atoms", (10 ** 6, 10 ** 15))
+def test_counts_are_exact_at_large_atom_counts(atoms):
+    params = CollisionModelParams(coupling=0.1, atoms=atoms, delta_1=1.0,
                                   delta_2=0.9, n_1=3, n_2=3)
-    problem = build_problem(params, NONE_RULE)
-    assert problem.dim == 8
-    diag = rspt_energy(problem).diagnostics
-    pairs = math.comb(10 ** 6, 2)
-    assert diag["basis_size"] == 1 + 2 * 10 ** 6 + 2 + 3 * pairs
-    assert diag["renormalization_terms"] == 2 * 10 ** 6
+    diag = fourth_order(params, NONE_RULE).diagnostics
+    pairs = math.comb(atoms, 2)
+    assert diag["basis_size"] == 1 + 2 * atoms + 2 + 3 * pairs
+    assert diag["path_terms"] == {"exchanged-photon": 2 * atoms ** 2,
+                                  "two-excitation": 24 * pairs}
+    assert diag["renormalization_terms"] == 2 * atoms
 
 
 @pytest.mark.parametrize("rule", ALL_RULES, ids=lambda rule: rule.selector)
-def test_basis_stays_small_at_large_photon_numbers(rule):
-    # the kept states are built directly, so the cost does not grow with
-    # the photon numbers either
+def test_large_photon_numbers_match_labelled_oracle(rule):
     params = CollisionModelParams(coupling=0.1, atoms=2, delta_1=1.0, delta_2=0.9,
                                   width=rule.width, n_1=10 ** 4, n_2=10 ** 4)
-    problem = build_problem(params, rule)
-    assert problem.dim == 8
-    assert build_problem(replace(params, atoms=10 ** 6), rule).dim == 8
-    result = rspt_energy(problem)
+    result = fourth_order(params, rule)
     oracle = rspt_energy(labelled_perturbation_problem(params, rule, 2))
     for k in (2, 4):
         assert abs(result.order(k) - oracle.order(k)) <= 1e-12 * abs(oracle.order(k))
@@ -496,10 +506,9 @@ def test_far_states_do_not_trigger_singularity():
     # reference, three V steps away: it cannot enter the fourth order
     params = CollisionModelParams(coupling=0.1, atoms=3, delta_1=1.0, delta_2=2.0,
                                   n_1=2, n_2=2)
-    problem = build_problem(params, NONE_RULE)
-    assert (0, 3, 1) not in problem.states
     oracle = rspt_energy(labelled_perturbation_problem(params, NONE_RULE, 3))
-    assert rspt_energy(problem).order(4) == pytest.approx(oracle.order(4), rel=1e-12)
+    result = fourth_order(params, NONE_RULE)
+    assert result.order(4) == pytest.approx(oracle.order(4), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
